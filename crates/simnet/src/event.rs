@@ -1,13 +1,23 @@
 //! The discrete-event engine: an ordered queue of scheduled closures plus
 //! the glue that turns [`FlowNet`] rate changes into completion events.
 //!
-//! Flow completions are driven by a *single* outstanding prediction event:
-//! after every rate recomputation only the earliest finishing flow gets an
-//! event (epoch-guarded against staleness). When it fires, every flow that
-//! has drained completes, rates are recomputed once, and the next
-//! prediction is scheduled. This keeps the queue O(1) in the number of
-//! active flows — important for experiments with thousands of concurrent
-//! transfers.
+//! Flow completions are driven by a *single* outstanding prediction event,
+//! a `FlowTick` at the earliest completion under the current rates
+//! (epoch-guarded against staleness). When it fires, every flow that has
+//! drained completes and the next prediction is scheduled. This keeps the
+//! queue O(1) in the number of active flows — important for experiments
+//! with thousands of concurrent transfers.
+//!
+//! Changes to the flow set are *coalesced*: `start_flow` and a tick that
+//! completes flows do not recompute rates themselves. Each reserves the
+//! tick's queue sequence number (`seq`) at the point where it changed the
+//! flow set and marks the net dirty; [`Sim::step`] flushes before it pops
+//! the next event, so an event that starts ten flows costs one rate
+//! recompute and schedules one tick. The tick carries the *last* `seq`
+//! reserved, so it orders among equal-time events exactly where a tick
+//! scheduled at the last change would have. Ties at one instant therefore
+//! still run FIFO: a zero-byte flow started before a `sim.at(sim.now(), ..)`
+//! completes before that call.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
@@ -60,6 +70,14 @@ pub struct Sim {
     pub faults: FaultInjector,
     flow_callbacks: HashMap<FlowId, Callback>,
     events_processed: u64,
+    /// The flow set changed since the last rate recompute: the tick it owes
+    /// has this reserved `seq` and lands at least `min_dt` after now.
+    pending_tick: Option<PendingTick>,
+}
+
+struct PendingTick {
+    seq: u64,
+    min_dt: f64,
 }
 
 impl Default for Sim {
@@ -85,6 +103,7 @@ impl Sim {
             faults: FaultInjector::default(),
             flow_callbacks: HashMap::new(),
             events_processed: 0,
+            pending_tick: None,
         }
     }
 
@@ -100,19 +119,18 @@ impl Sim {
     }
 
     fn push(&mut self, time: SimTime, kind: EventKind) {
+        self.seq += 1;
+        self.push_seq(time, self.seq, kind);
+    }
+
+    /// Queue `kind` under an already reserved `seq`.
+    fn push_seq(&mut self, time: SimTime, seq: u64, kind: EventKind) {
         assert!(time.is_valid(), "scheduling at invalid time {time:?}");
         debug_assert!(time >= self.now, "scheduling into the past");
         let id = self.next_event;
         self.next_event += 1;
-        self.seq += 1;
         self.events.insert(id, kind);
-        self.queue.push(Reverse((
-            Key {
-                time,
-                seq: self.seq,
-            },
-            id,
-        )));
+        self.queue.push(Reverse((Key { time, seq }, id)));
     }
 
     /// Schedule `cb` to run at absolute time `t` (must be ≥ now).
@@ -138,33 +156,36 @@ impl Sim {
         self.net.advance_to(self.now);
         let id = self.net.admit(path, bytes);
         self.flow_callbacks.insert(id, Box::new(done));
-        self.reschedule_tick();
+        self.mark_dirty(0.0);
         id
     }
 
-    /// Recompute fair-share rates and schedule one prediction event at the
-    /// earliest completion under the new epoch.
-    fn reschedule_tick(&mut self) {
-        self.reschedule_tick_after(0.0);
+    /// Record that the flow set changed: reserve the tick's `seq` here, so
+    /// the tick keeps this place among equal-time events, and require it to
+    /// land at least `min_dt` from now (a positive `min_dt` guarantees
+    /// forward progress after rounding slivers). A later change in the same
+    /// event supersedes both.
+    fn mark_dirty(&mut self, min_dt: f64) {
+        self.seq += 1;
+        self.pending_tick = Some(PendingTick {
+            seq: self.seq,
+            min_dt,
+        });
     }
 
-    /// Like [`Self::reschedule_tick`] but never earlier than `min_dt` from
-    /// now (used to guarantee forward progress after rounding slivers).
-    fn reschedule_tick_after(&mut self, min_dt: f64) {
-        let etas = self.net.recompute_rates();
-        let epoch = self.net.epoch;
-        let base = self.net.last_update();
-        let mut min_eta = f64::INFINITY;
-        for (_, eta) in etas {
-            if eta < min_eta {
-                min_eta = eta;
-            }
-        }
+    /// Recompute fair-share rates if the flow set changed, and schedule one
+    /// prediction event at the earliest completion under the new epoch.
+    fn flush_tick(&mut self) {
+        let Some(PendingTick { seq, min_dt }) = self.pending_tick.take() else {
+            return;
+        };
+        let min_eta = self.net.recompute_rates();
         if min_eta.is_finite() {
-            let t = SimTime(base.0 + min_eta)
+            let t = SimTime(self.net.last_update().0 + min_eta)
                 .max(self.now)
                 .max(SimTime(self.now.0 + min_dt));
-            self.push(t, EventKind::FlowTick { epoch });
+            let epoch = self.net.epoch;
+            self.push_seq(t, seq, EventKind::FlowTick { epoch });
         }
         // All-infinite (zero-rate) flows re-enter consideration on the next
         // admit; a drained queue with active flows is caught by `run`.
@@ -180,7 +201,7 @@ impl Sim {
             // Floating-point rounding left a sliver of bytes; predict again
             // from the current remainder, at least one nanosecond ahead so
             // virtual time always advances (livelock guard).
-            self.reschedule_tick_after(1e-9);
+            self.mark_dirty(1e-9);
             return;
         }
         let mut callbacks = Vec::with_capacity(finished.len());
@@ -192,7 +213,7 @@ impl Sim {
                     .expect("completion callback present"),
             );
         }
-        self.reschedule_tick();
+        self.mark_dirty(0.0);
         for cb in callbacks {
             cb(self);
         }
@@ -200,6 +221,7 @@ impl Sim {
 
     /// Process one event. Returns `false` when the queue is empty.
     pub fn step(&mut self) -> bool {
+        self.flush_tick();
         let Some(Reverse((key, id))) = self.queue.pop() else {
             return false;
         };
@@ -387,6 +409,66 @@ mod tests {
             v
         };
         assert_eq!(run(), run());
+    }
+
+    #[test]
+    fn one_callback_starting_many_flows_schedules_one_tick() {
+        // Ten admissions in one event coalesce into one recompute and one
+        // tick, which completes all ten: the Call plus that tick.
+        let mut sim = Sim::new();
+        let r = sim.net.add_resource("link", 100.0);
+        let count = Rc::new(RefCell::new(0));
+        let c = count.clone();
+        sim.at(SimTime::ZERO, move |sim| {
+            for _ in 0..10 {
+                let c = c.clone();
+                sim.start_flow(vec![r], 100.0, move |_| *c.borrow_mut() += 1);
+            }
+        });
+        let end = sim.run();
+        assert_eq!(*count.borrow(), 10);
+        assert_eq!(end, SimTime(10.0));
+        assert_eq!(sim.events_processed(), 2);
+    }
+
+    #[test]
+    fn zero_byte_flow_completes_before_later_call_at_same_instant() {
+        // The tick's seq is reserved at start_flow, before the Call is
+        // queued, so FIFO among equal times still puts the completion first.
+        let mut sim = Sim::new();
+        let r = sim.net.add_resource("link", 100.0);
+        let log = Rc::new(RefCell::new(Vec::new()));
+        let l = log.clone();
+        sim.after(1.0, move |sim| {
+            let l1 = l.clone();
+            sim.start_flow(vec![r], 0.0, move |sim| {
+                l1.borrow_mut().push(("flow", sim.now().secs()));
+            });
+            let l2 = l.clone();
+            sim.at(sim.now(), move |sim| {
+                l2.borrow_mut().push(("call", sim.now().secs()));
+            });
+        });
+        sim.run();
+        assert_eq!(*log.borrow(), vec![("flow", 1.0), ("call", 1.0)]);
+    }
+
+    #[test]
+    fn sliver_tick_still_advances_time() {
+        // A current tick that finds no drained flow (a rounding sliver)
+        // reschedules at least 1 ns ahead, even when the sliver's own ETA
+        // is shorter, so virtual time cannot stall.
+        let mut sim = Sim::new();
+        let r = sim.net.add_resource("link", 1e6);
+        let done = Rc::new(RefCell::new(None));
+        let d = done.clone();
+        // 1e-5 B at 1e6 B/s: ETA 1e-11 s, above both completion thresholds.
+        sim.start_flow(vec![r], 1e-5, move |sim| *d.borrow_mut() = Some(sim.now()));
+        sim.flush_tick();
+        sim.on_flow_tick(sim.net.epoch);
+        assert_eq!(sim.net.n_active_flows(), 1);
+        sim.run();
+        assert_eq!(*done.borrow(), Some(SimTime(1e-9)));
     }
 
     #[test]

@@ -8,10 +8,11 @@
 //! divided by progressive filling, so a flow gets the fair share of its most
 //! contended resource and unused capacity is redistributed to the others.
 //!
-//! The allocation is recomputed whenever a flow starts or finishes (the
-//! classic "fluid" approximation of TCP sharing used by flow-level simulators
-//! such as SimGrid). Between recomputations every flow progresses linearly at
-//! its assigned rate, so completion times are exact.
+//! The allocation is recomputed after the flow set changes (the classic
+//! "fluid" approximation of TCP sharing used by flow-level simulators such
+//! as SimGrid); [`crate::Sim`] does it at most once per event, however many
+//! flows the event starts or finishes. Between recomputations every flow
+//! progresses linearly at its assigned rate, so completion times are exact.
 
 use crate::time::SimTime;
 
@@ -63,6 +64,85 @@ pub struct FlowNet {
     last_update: SimTime,
     /// Total bytes ever admitted, for reporting.
     pub bytes_admitted: f64,
+    scratch: Scratch,
+}
+
+/// Working buffers of [`FlowNet::recompute_rates`], kept between calls so a
+/// recompute allocates nothing once they have grown.
+#[derive(Debug, Default)]
+struct Scratch {
+    /// Unfrozen path entries per resource.
+    users: Vec<u32>,
+    /// Residual (stream-interference adjusted) capacity per resource.
+    cap: Vec<f64>,
+    /// Resource `r`'s members are `members[start[r]..start[r + 1]]`.
+    start: Vec<u32>,
+    /// Flow indices per resource, in admission order; a flow whose path
+    /// names a resource twice is listed twice.
+    members: Vec<u32>,
+    /// Per flow: rate already fixed this recompute.
+    frozen: Vec<bool>,
+}
+
+impl Scratch {
+    /// Reset every buffer for `flows` over `resources`.
+    fn build(&mut self, resources: &[Resource], flows: &[FlowState]) {
+        self.users.clear();
+        self.users.resize(resources.len(), 0);
+        for r in flows.iter().flat_map(|f| &f.path) {
+            if let Some(u) = self.users.get_mut(r.0 as usize) {
+                *u += 1;
+            }
+        }
+        // Disk stream-interference: effective capacity shrinks with the
+        // number of concurrent streams (head thrashing on HDDs).
+        self.cap.clear();
+        self.cap
+            .extend(resources.iter().zip(&self.users).map(|(r, &u)| {
+                if r.thrash > 0.0 && u > 1 {
+                    // Elevator scheduling bounds the worst case: cap the
+                    // interference degradation at 3x.
+                    r.capacity / (1.0 + r.thrash * (u - 1) as f64).min(3.0)
+                } else {
+                    r.capacity
+                }
+            }));
+        // `start[r]` begins as the end of `r`'s segment; filling backwards
+        // from the last flow walks it down to the segment's start and
+        // leaves each segment in admission order.
+        self.start.clear();
+        let mut end = 0u32;
+        for &u in &self.users {
+            end += u;
+            self.start.push(end);
+        }
+        self.start.push(end);
+        self.members.clear();
+        self.members.resize(end as usize, 0);
+        for (fi, f) in flows.iter().enumerate().rev() {
+            for r in &f.path {
+                if let Some(pos) = self.start.get_mut(r.0 as usize) {
+                    *pos -= 1;
+                    if let Some(m) = self.members.get_mut(*pos as usize) {
+                        *m = fi as u32;
+                    }
+                }
+            }
+        }
+        self.frozen.clear();
+        self.frozen.resize(flows.len(), false);
+    }
+}
+
+/// Predicted time for `remaining` bytes to drain at `rate`.
+fn flow_eta(remaining: f64, rate: f64) -> f64 {
+    if remaining <= 1e-6 {
+        0.0
+    } else if rate == 0.0 {
+        f64::INFINITY
+    } else {
+        remaining / rate
+    }
 }
 
 impl FlowNet {
@@ -160,30 +240,14 @@ impl FlowNet {
         let t = self.last_update.secs().abs().max(1.0);
         let ulp = t * f64::EPSILON * 4.0;
         let mut out = Vec::new();
-        let mut i = 0;
-        while i < self.flows.len() {
-            if self.flows[i].remaining <= 1e-6
-                || self.flows[i].remaining <= self.flows[i].rate * ulp
-            {
-                out.push(self.flows[i].id);
-                self.flows.remove(i);
-            } else {
-                i += 1;
+        self.flows.retain(|f| {
+            let done = f.remaining <= 1e-6 || f.remaining <= f.rate * ulp;
+            if done {
+                out.push(f.id);
             }
-        }
+            !done
+        });
         out
-    }
-
-    /// Remove a flow (normally because it completed). Returns whether it was
-    /// present.
-    #[allow(dead_code)]
-    pub(crate) fn remove(&mut self, id: FlowId) -> bool {
-        if let Some(pos) = self.flows.iter().position(|f| f.id == id) {
-            self.flows.swap_remove(pos);
-            true
-        } else {
-            false
-        }
     }
 
     /// Remaining bytes of a flow, if still active.
@@ -197,32 +261,113 @@ impl FlowNet {
     }
 
     /// Recompute all flow rates by progressive filling (max–min fairness)
-    /// and bump the epoch. Returns, for every active flow, its predicted
-    /// completion time offset from `last_update` (`remaining / rate`).
-    pub(crate) fn recompute_rates(&mut self) -> Vec<(FlowId, f64)> {
+    /// and bump the epoch. Returns the earliest predicted completion time
+    /// of any active flow as an offset from `last_update`
+    /// (`remaining / rate`), or infinity when nothing can finish.
+    ///
+    /// Each filling round freezes the members of the current bottleneck,
+    /// found through per-resource member lists (CSR, admission order) kept
+    /// in [`Scratch`]; a round never looks at flows off the bottleneck.
+    pub(crate) fn recompute_rates(&mut self) -> f64 {
         self.epoch += 1;
         let nf = self.flows.len();
         if nf == 0 {
-            return Vec::new();
+            return f64::INFINITY;
         }
-        let nr = self.resources.len();
-        // Residual capacity per resource and number of unfrozen flows using it.
+        let s = &mut self.scratch;
+        s.build(&self.resources, &self.flows);
+        let mut unfrozen = nf;
+        while unfrozen > 0 {
+            // Find bottleneck: resource with the smallest fair share; the
+            // lowest index wins ties.
+            let mut best: Option<(usize, f64)> = None;
+            for (ri, (&c, &u)) in s.cap.iter().zip(&s.users).enumerate() {
+                if u == 0 || !c.is_finite() {
+                    continue;
+                }
+                let share = c / u as f64;
+                match best {
+                    Some((_, b)) if b <= share => {}
+                    _ => best = Some((ri, share)),
+                }
+            }
+            let Some((bottleneck, share)) = best else {
+                // All remaining flows pass only through infinite resources.
+                for (f, &frozen) in self.flows.iter_mut().zip(&s.frozen) {
+                    if !frozen {
+                        f.rate = f64::INFINITY;
+                    }
+                }
+                break;
+            };
+            // Freeze every unfrozen member of the bottleneck at `share`,
+            // in admission order: the same flows, order and subtractions
+            // as scanning every flow's path, so the rates are bit-identical.
+            let (lo, hi) = (s.start[bottleneck], s.start[bottleneck + 1]);
+            for &fi in &s.members[lo as usize..hi as usize] {
+                let fi = fi as usize;
+                if s.frozen[fi] {
+                    continue; // frozen earlier, or a repeated path entry
+                }
+                s.frozen[fi] = true;
+                unfrozen -= 1;
+                let f = &mut self.flows[fi];
+                f.rate = share;
+                for r in &f.path {
+                    let ri = r.0 as usize;
+                    if s.cap[ri].is_finite() {
+                        s.cap[ri] = (s.cap[ri] - share).max(0.0);
+                    }
+                    s.users[ri] -= 1;
+                }
+            }
+            debug_assert_eq!(s.users[bottleneck], 0);
+        }
+
+        let mut min_eta = f64::INFINITY;
+        for f in &mut self.flows {
+            if f.rate.is_infinite() {
+                // Uncontended path (e.g. loopback): transfers instantly.
+                // Zero the remainder here — progress accounting advances by
+                // rate x elapsed-time, which is NaN/undefined for an
+                // infinite rate over zero time.
+                f.remaining = 0.0;
+            }
+            let eta = flow_eta(f.remaining, f.rate);
+            if eta < min_eta {
+                min_eta = eta;
+            }
+        }
+        min_eta
+    }
+
+    pub(crate) fn last_update(&self) -> SimTime {
+        self.last_update
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The plain progressive-filling solver: every round scans every
+    /// unfrozen flow's path for the bottleneck. Returns each flow's rate
+    /// and the minimum ETA, without touching `n`.
+    fn oracle(n: &FlowNet) -> (Vec<f64>, f64) {
+        let nf = n.flows.len();
+        let nr = n.resources.len();
         let mut users: Vec<u32> = vec![0; nr];
-        for f in &self.flows {
+        for f in &n.flows {
             for r in &f.path {
                 users[r.0 as usize] += 1;
             }
         }
-        // Disk stream-interference: effective capacity shrinks with the
-        // number of concurrent streams (head thrashing on HDDs).
-        let mut cap: Vec<f64> = self
+        let mut cap: Vec<f64> = n
             .resources
             .iter()
             .zip(&users)
             .map(|(r, &u)| {
                 if r.thrash > 0.0 && u > 1 {
-                    // Elevator scheduling bounds the worst case: cap the
-                    // interference degradation at 3x.
                     r.capacity / (1.0 + r.thrash * (u - 1) as f64).min(3.0)
                 } else {
                     r.capacity
@@ -232,9 +377,7 @@ impl FlowNet {
         let mut frozen = vec![false; nf];
         let mut rates = vec![0.0f64; nf];
         let mut remaining_flows = nf;
-
         while remaining_flows > 0 {
-            // Find bottleneck: resource with the smallest fair share.
             let mut best: Option<(usize, f64)> = None;
             for (ri, (&c, &u)) in cap.iter().zip(users.iter()).enumerate() {
                 if u == 0 || !c.is_finite() {
@@ -247,29 +390,22 @@ impl FlowNet {
                 }
             }
             let Some((bottleneck, share)) = best else {
-                // All remaining flows pass only through infinite resources.
-                for (fi, f) in self.flows.iter().enumerate() {
+                for fi in 0..nf {
                     if !frozen[fi] {
                         rates[fi] = f64::INFINITY;
-                        let _ = f;
                     }
                 }
                 break;
             };
-            // Freeze every unfrozen flow crossing the bottleneck at `share`.
             for fi in 0..nf {
                 if frozen[fi] {
                     continue;
                 }
-                if self.flows[fi]
-                    .path
-                    .iter()
-                    .any(|r| r.0 as usize == bottleneck)
-                {
+                if n.flows[fi].path.iter().any(|r| r.0 as usize == bottleneck) {
                     frozen[fi] = true;
                     rates[fi] = share;
                     remaining_flows -= 1;
-                    for r in &self.flows[fi].path {
+                    for r in &n.flows[fi].path {
                         let ri = r.0 as usize;
                         if cap[ri].is_finite() {
                             cap[ri] = (cap[ri] - share).max(0.0);
@@ -278,39 +414,71 @@ impl FlowNet {
                     }
                 }
             }
-            debug_assert_eq!(users[bottleneck], 0);
         }
+        let min_eta = n
+            .flows
+            .iter()
+            .zip(&rates)
+            .map(|(f, &rate)| {
+                let remaining = if rate.is_infinite() { 0.0 } else { f.remaining };
+                flow_eta(remaining, rate)
+            })
+            .fold(f64::INFINITY, |m, e| if e < m { e } else { m });
+        (rates, min_eta)
+    }
 
-        let mut out = Vec::with_capacity(nf);
-        for (fi, f) in self.flows.iter_mut().enumerate() {
-            f.rate = rates[fi];
-            if f.rate.is_infinite() {
-                // Uncontended path (e.g. loopback): transfers instantly.
-                // Zero the remainder here — progress accounting advances by
-                // rate x elapsed-time, which is NaN/undefined for an
-                // infinite rate over zero time.
-                f.remaining = 0.0;
+    #[test]
+    fn solver_matches_oracle_bit_for_bit() {
+        for seed in 0..200u64 {
+            let mut rng = scirng::Rng::seed_from_u64(0x5eed_f10a ^ seed);
+            let mut n = FlowNet::new();
+            let nr = 1 + rng.below(12);
+            for i in 0..nr {
+                // Capacities from a small set make equal fair shares (and
+                // so bottleneck ties) common.
+                let capacity = match rng.below(6) {
+                    0 => f64::INFINITY,
+                    1 => rng.range_f64(1.0, 1e9),
+                    k => 1e8 * (k * k) as f64 / 3.0,
+                };
+                // Thrash disks, some with the 3x degradation cap in reach.
+                let thrash = match rng.below(3) {
+                    0 => rng.range_f64(0.0, 2.0),
+                    _ => 0.0,
+                };
+                n.add_resource_thrash(format!("r{i}"), capacity, thrash);
             }
-            let eta = if f.remaining <= 1e-6 {
-                0.0
-            } else if f.rate == 0.0 {
-                f64::INFINITY
-            } else {
-                f.remaining / f.rate
-            };
-            out.push((f.id, eta));
+            let mut now = 0.0;
+            for round in 0..8 {
+                for _ in 0..rng.below(40) {
+                    // Paths of 0-4 entries; a resource may repeat.
+                    let path: Vec<ResourceId> = (0..rng.below(5))
+                        .map(|_| ResourceId(rng.below(nr) as u32))
+                        .collect();
+                    let bytes = match rng.below(5) {
+                        0 => 0.0,
+                        _ => rng.range_f64(1.0, 1e10),
+                    };
+                    n.admit(path, bytes);
+                }
+                let (want_rates, want_eta) = oracle(&n);
+                let eta = n.recompute_rates();
+                let rates: Vec<f64> = n.flows.iter().map(|f| f.rate).collect();
+                let bits = |v: &[f64]| v.iter().map(|r| r.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&rates), bits(&want_rates), "seed {seed} round {round}");
+                assert_eq!(
+                    eta.to_bits(),
+                    want_eta.to_bits(),
+                    "seed {seed} round {round}"
+                );
+                if eta.is_finite() {
+                    now += eta * rng.range_f64(0.5, 1.5);
+                    n.advance_to(SimTime(now));
+                    n.take_finished();
+                }
+            }
         }
-        out
     }
-
-    pub(crate) fn last_update(&self) -> SimTime {
-        self.last_update
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
 
     fn net_with(caps: &[f64]) -> FlowNet {
         let mut n = FlowNet::new();
@@ -324,10 +492,9 @@ mod tests {
     fn single_flow_gets_full_capacity() {
         let mut n = net_with(&[100.0]);
         let f = n.admit(vec![ResourceId(0)], 1000.0);
-        let etas = n.recompute_rates();
-        assert_eq!(etas.len(), 1);
+        let eta = n.recompute_rates();
         assert_eq!(n.rate(f), Some(100.0));
-        assert!((etas[0].1 - 10.0).abs() < 1e-9);
+        assert!((eta - 10.0).abs() < 1e-9);
     }
 
     #[test]
@@ -367,13 +534,15 @@ mod tests {
     fn removal_frees_capacity() {
         let mut n = net_with(&[100.0]);
         let a = n.admit(vec![ResourceId(0)], 1000.0);
-        let b = n.admit(vec![ResourceId(0)], 1000.0);
+        let b = n.admit(vec![ResourceId(0)], 100.0);
         n.recompute_rates();
         assert_eq!(n.rate(a), Some(50.0));
-        assert!(n.remove(b));
+        n.advance_to(SimTime(2.0)); // b drains: 50 B/s x 2 s
+        assert_eq!(n.take_finished(), vec![b]);
+        assert_eq!(n.rate(b), None);
         n.recompute_rates();
         assert_eq!(n.rate(a), Some(100.0));
-        assert!(!n.remove(b));
+        assert!(n.take_finished().is_empty());
     }
 
     #[test]
