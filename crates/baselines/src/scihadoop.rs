@@ -11,13 +11,14 @@ use std::rc::Rc;
 use std::sync::Arc;
 
 use hdfs::Block;
-use mapreduce::{FetchDone, FetchResult, InputSplit, MrEnv, MrError, SplitFetcher, TaskInput};
+use mapreduce::{FetchDone, FetchResult, InputSplit, MrEnv, MrError, OneShotFetcher, TaskInput};
 use scidp::encode_slab_tag;
 use scifmt::snc::{assemble_slab, chunk_extents_of};
 use scifmt::{SncMeta, VarMeta};
 use simnet::{NodeId, Sim};
 
 /// Reads a variable hyperslab out of an SNC container staged on HDFS.
+#[derive(Clone)]
 pub struct HdfsSciFetcher {
     pub hdfs_path: String,
     pub var: Arc<VarMeta>,
@@ -26,7 +27,7 @@ pub struct HdfsSciFetcher {
     pub count: Vec<usize>,
 }
 
-impl SplitFetcher for HdfsSciFetcher {
+impl OneShotFetcher for HdfsSciFetcher {
     fn fetch(&self, env: &MrEnv, sim: &mut Sim, node: NodeId, done: FetchDone) {
         // Resolve the chunks this slab needs and the HDFS blocks covering
         // their byte extents.
@@ -293,7 +294,9 @@ mod tests {
         // Fetch the second slab and compare against a direct read.
         let got = Rc::new(RefCell::new(None));
         let g = got.clone();
-        splits[1].fetcher.fetch(
+        let stream = splits[1].fetcher.open_stream(&env, &mut c.sim, NodeId(0));
+        mapreduce::read_whole(
+            stream,
             &env,
             &mut c.sim,
             NodeId(0),

@@ -9,7 +9,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use mapreduce::{
-    run_job, Cluster, FlatPfsFetcher, InputSplit, Job, JobResult, MrEnv, SplitFetcher, TaskCtx,
+    run_job, Cluster, FlatPfsFetcher, InputSplit, Job, JobResult, MrEnv, OneShotFetcher, TaskCtx,
 };
 use scidp::{
     derived_raster, nuwrf_map_fn, nuwrf_reduce_fn, wrap_r_map, wrap_r_reduce, WorkflowConfig,
@@ -51,11 +51,12 @@ fn raster_for(cfg: &WorkflowConfig, scale: f64) -> (u32, u32) {
 
 /// Reads a whole HDFS file (all blocks, sequentially) — the baselines
 /// process one text file per map task to keep records aligned.
+#[derive(Clone)]
 struct HdfsWholeFileFetcher {
     path: String,
 }
 
-impl SplitFetcher for HdfsWholeFileFetcher {
+impl OneShotFetcher for HdfsWholeFileFetcher {
     fn fetch(&self, env: &MrEnv, sim: &mut Sim, node: NodeId, done: mapreduce::FetchDone) {
         // `read_file` consumes the callback even on a synchronous error, so
         // completion is routed through a take-once cell.

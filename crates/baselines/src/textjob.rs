@@ -20,32 +20,14 @@ pub struct TagFetcher {
 }
 
 impl SplitFetcher for TagFetcher {
-    fn fetch(&self, env: &MrEnv, sim: &mut Sim, node: NodeId, done: mapreduce::FetchDone) {
-        let tag = self.tag.clone();
-        self.inner.fetch(
-            env,
-            sim,
-            node,
-            Box::new(move |sim, fr| {
-                done(
-                    sim,
-                    fr.map(|mut fr| {
-                        fr.tag = tag;
-                        fr
-                    }),
-                );
-            }),
-        );
-    }
-
     fn open_stream(
         &self,
         env: &MrEnv,
         sim: &mut Sim,
         node: NodeId,
-    ) -> Result<Box<dyn mapreduce::PieceStream>, mapreduce::StreamFallback> {
-        let inner = self.inner.open_stream(env, sim, node)?;
-        Ok(mapreduce::retag_stream(inner, self.tag.clone()))
+    ) -> Box<dyn mapreduce::PieceStream> {
+        let inner = self.inner.open_stream(env, sim, node);
+        mapreduce::retag_stream(inner, self.tag.clone())
     }
 
     fn describe(&self) -> String {

@@ -159,19 +159,11 @@ fn slab_job(var: &Arc<VarMeta>, off: usize, admit: Option<bool>, out: &str) -> J
 }
 
 fn read_output(c: &Cluster, dir: &str) -> Vec<(String, Vec<u8>)> {
-    let h = c.hdfs.borrow();
-    let mut files = h.namenode.list_files_recursive(dir).unwrap();
-    files.retain(|f| !f.path.contains("/_"));
-    files.sort_by(|a, b| a.path.cmp(&b.path));
+    let files = c.read_hdfs_dir(dir).unwrap();
     files
-        .iter()
-        .map(|f| {
-            let mut data = Vec::new();
-            for b in h.namenode.blocks(&f.path).unwrap() {
-                data.extend_from_slice(&h.datanodes.get(b.locations()[0], b.id).unwrap());
-            }
-            (f.path.trim_start_matches(dir).to_string(), data)
-        })
+        .into_iter()
+        .filter(|(path, _)| !path.contains("/_"))
+        .map(|(path, data)| (path.trim_start_matches(dir).to_string(), data))
         .collect()
 }
 

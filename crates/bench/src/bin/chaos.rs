@@ -142,23 +142,6 @@ fn pfs_splits() -> Vec<InputSplit> {
         .collect()
 }
 
-/// Committed reduce output, sorted by path, for byte-identity checks.
-fn read_output(c: &Cluster) -> Vec<(String, Vec<u8>)> {
-    let h = c.hdfs.borrow();
-    let mut files = h.namenode.list_files_recursive("out").unwrap();
-    files.sort_by(|a, b| a.path.cmp(&b.path));
-    files
-        .iter()
-        .map(|f| {
-            let mut data = Vec::new();
-            for b in h.namenode.blocks(&f.path).unwrap() {
-                data.extend_from_slice(&h.datanodes.get(b.locations()[0], b.id).unwrap());
-            }
-            (f.path.clone(), data)
-        })
-        .collect()
-}
-
 struct RunStats {
     elapsed: f64,
     counters: BTreeMap<String, f64>,
@@ -181,7 +164,7 @@ fn run_pfs(plan: FaultPlan) -> RunStats {
         elapsed: r.elapsed(),
         counters: r.counters.iter().map(|(k, v)| (k.to_string(), v)).collect(),
         summary: r.fault_summary(),
-        output: read_output(&c),
+        output: c.read_hdfs_dir("out").unwrap(),
     }
 }
 
@@ -219,7 +202,7 @@ fn run_hdfs(plan: FaultPlan, hedge_after_s: f64) -> RunStats {
         elapsed: r.elapsed(),
         counters: r.counters.iter().map(|(k, v)| (k.to_string(), v)).collect(),
         summary: r.fault_summary(),
-        output: read_output(&c),
+        output: c.read_hdfs_dir("out").unwrap(),
     }
 }
 

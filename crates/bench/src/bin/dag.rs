@@ -117,20 +117,9 @@ fn pipeline() -> Dataset {
 
 /// Committed part files under `dagout`, sorted, for byte-identity checks.
 fn read_output(c: &Cluster) -> Vec<(String, Vec<u8>)> {
-    let h = c.hdfs.borrow();
-    let mut files = h.namenode.list_files_recursive("dagout").unwrap();
-    files.retain(|f| !f.path.contains("/_"));
-    files.sort_by(|a, b| a.path.cmp(&b.path));
+    let mut files = c.read_hdfs_dir("dagout").unwrap();
+    files.retain(|(path, _)| !path.contains("/_"));
     files
-        .iter()
-        .map(|f| {
-            let mut data = Vec::new();
-            for b in h.namenode.blocks(&f.path).unwrap() {
-                data.extend_from_slice(&h.datanodes.get(b.locations()[0], b.id).unwrap());
-            }
-            (f.path.clone(), data)
-        })
-        .collect()
 }
 
 fn run_with(plan: FaultPlan) -> (DagResult, Vec<(String, Vec<u8>)>) {

@@ -97,23 +97,6 @@ fn byte_count_job(ft: FtConfig) -> Job {
     }
 }
 
-/// Committed reduce output, sorted by path, for byte-identity checks.
-fn read_output(c: &Cluster) -> Vec<(String, Vec<u8>)> {
-    let h = c.hdfs.borrow();
-    let mut files = h.namenode.list_files_recursive("out").unwrap();
-    files.sort_by(|a, b| a.path.cmp(&b.path));
-    files
-        .iter()
-        .map(|f| {
-            let mut data = Vec::new();
-            for b in h.namenode.blocks(&f.path).unwrap() {
-                data.extend_from_slice(&h.datanodes.get(b.locations()[0], b.id).unwrap());
-            }
-            (f.path.clone(), data)
-        })
-        .collect()
-}
-
 struct RunStats {
     elapsed: f64,
     map_attempts: f64,
@@ -137,7 +120,7 @@ fn run_with(plan: FaultPlan, ft: FtConfig) -> RunStats {
         spec_won: r.counters.get(keys::SPECULATIVE_WON),
         blacklisted: r.counters.get(keys::NODE_BLACKLISTED),
         injected: c.sim.faults.injected_read_failures(),
-        output: read_output(&c),
+        output: c.read_hdfs_dir("out").unwrap(),
     }
 }
 
@@ -181,7 +164,7 @@ fn blacklist_scenario() -> RunStats {
         spec_won: r.counters.get(keys::SPECULATIVE_WON),
         blacklisted: r.counters.get(keys::NODE_BLACKLISTED),
         injected: c.sim.faults.injected_read_failures(),
-        output: read_output(&c),
+        output: c.read_hdfs_dir("out").unwrap(),
     }
 }
 

@@ -228,7 +228,9 @@ fn scidp_read(pool: &DatasetPool, w: &Workload, readers: usize) -> f64 {
                 let active2 = active.clone();
                 let end2 = end.clone();
                 use mapreduce::SplitFetcher as _;
-                f.fetch(
+                let stream = f.open_stream(&env, sim, node);
+                mapreduce::read_whole(
+                    stream,
                     &env,
                     sim,
                     node,

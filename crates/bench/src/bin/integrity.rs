@@ -20,28 +20,11 @@
 
 use std::time::Instant;
 
-use mapreduce::{counter_keys as keys, Cluster};
+use mapreduce::counter_keys as keys;
 use scidp::{run_scidp, ScidpError, WorkflowConfig, WorkflowReport};
 use scidp_bench::{fmt_s, quick_mode, quick_spec, row, DatasetPool};
 use simnet::FaultPlan;
 use wrfgen::WrfSpec;
-
-/// Committed output bytes, sorted by path, for byte-identity checks.
-fn read_output(c: &Cluster) -> Vec<(String, Vec<u8>)> {
-    let h = c.hdfs.borrow();
-    let mut files = h.namenode.list_files_recursive("scidp_out").unwrap();
-    files.sort_by(|a, b| a.path.cmp(&b.path));
-    files
-        .iter()
-        .map(|f| {
-            let mut data = Vec::new();
-            for b in h.namenode.blocks(&f.path).unwrap() {
-                data.extend_from_slice(&h.datanodes.get(b.locations()[0], b.id).unwrap());
-            }
-            (f.path.clone(), data)
-        })
-        .collect()
-}
 
 fn run_with(pool: &DatasetPool, plan: FaultPlan) -> (WorkflowReport, Vec<(String, Vec<u8>)>, f64) {
     let mut c = pool.fresh_cluster(8);
@@ -51,7 +34,7 @@ fn run_with(pool: &DatasetPool, plan: FaultPlan) -> (WorkflowReport, Vec<(String
     let rep = run_scidp(&mut c, &pool.dataset.pfs_uri(), &cfg)
         .expect("integrity bench run must complete");
     let wall = wall.elapsed().as_secs_f64();
-    let out = read_output(&c);
+    let out = c.read_hdfs_dir("scidp_out").unwrap();
     (rep, out, wall)
 }
 

@@ -3,10 +3,13 @@
 //!
 //! Three experiments:
 //!  1. read:compute ratio sweep — the same byte-count job run with the
-//!     batch fetcher vs the streaming fetcher (depth 2), with the map
-//!     compute charge calibrated against the *measured* read phase so the
-//!     ratios are honest. Balanced work must gain ≥ 1.3x; compute-bound
-//!     work must stay ~1.0x (nothing to hide, nothing lost).
+//!     no-overlap reference vs the streaming pipeline (depth 2), with the
+//!     map compute charge calibrated against the *measured* read phase so
+//!     the ratios are honest. The reference reads each split whole
+//!     (`mapreduce::read_whole`: every piece issued at once) and hands it
+//!     to the driver as one piece, so nothing overlaps. Balanced work must
+//!     gain ≥ 1.3x; compute-bound work must stay ~1.0x (nothing to hide,
+//!     nothing lost).
 //!  2. prefetch-depth sweep at the balanced ratio — depth is a pure
 //!     scheduling knob, so output stays byte-identical while elapsed moves.
 //!  3. a chunked SNC slab job — pieces are CRC-verified chunks carrying
@@ -22,7 +25,7 @@ use std::sync::Arc;
 
 use mapreduce::{
     counter_keys as keys, run_job, Cluster, FlatPfsFetcher, FtConfig, InputSplit, Job, JobResult,
-    MrError, Payload, StreamConfig, TaskInput,
+    MrError, Payload, StreamConfig, TaskInput, Unpipelined,
 };
 use pfs::PfsConfig;
 use scidp::SciSlabFetcher;
@@ -64,9 +67,35 @@ fn fresh_cluster() -> Cluster {
     c
 }
 
+/// How map attempts read their split.
+#[derive(Clone, Copy)]
+enum Fetch {
+    /// The no-overlap reference: each split read whole, then all compute.
+    Whole,
+    /// The streaming pipeline at this prefetch depth.
+    Stream(usize),
+}
+
+/// `job` with its splits read the `fetch` way.
+fn with_fetch(mut job: Job, fetch: Fetch) -> Job {
+    match fetch {
+        Fetch::Whole => {
+            for s in &mut job.splits {
+                s.fetcher = Rc::new(Unpipelined(s.fetcher.clone()));
+            }
+        }
+        Fetch::Stream(depth) => {
+            job.stream = StreamConfig {
+                prefetch_depth: depth,
+            }
+        }
+    }
+    job
+}
+
 /// Byte-count job with an explicit per-map compute charge; every split
 /// streams as `PIECES_PER_SPLIT` pieces.
-fn flat_job(charge_s: f64, stream: StreamConfig) -> Job {
+fn flat_job(charge_s: f64, fetch: Fetch) -> Job {
     let per = FILE_BYTES / N_SPLITS;
     let splits: Vec<InputSplit> = (0..N_SPLITS)
         .map(|i| InputSplit {
@@ -80,7 +109,7 @@ fn flat_job(charge_s: f64, stream: StreamConfig) -> Job {
             }),
         })
         .collect();
-    Job {
+    let job = Job {
         name: "overlap".into(),
         splits,
         map_fn: Rc::new(move |input, ctx| {
@@ -113,48 +142,21 @@ fn flat_job(charge_s: f64, stream: StreamConfig) -> Job {
         spill_to_pfs: false,
         output_to_pfs: false,
         ft: FtConfig::default(),
-        stream,
+        stream: StreamConfig::default(),
         shuffle: None,
-    }
+    };
+    with_fetch(job, fetch)
 }
 
-/// Committed reduce output for byte-identity checks.
-fn read_output(c: &Cluster, dir: &str) -> Vec<(String, Vec<u8>)> {
-    let h = c.hdfs.borrow();
-    let mut files = h.namenode.list_files_recursive(dir).unwrap();
-    files.sort_by(|a, b| a.path.cmp(&b.path));
-    files
-        .iter()
-        .map(|f| {
-            let mut data = Vec::new();
-            for b in h.namenode.blocks(&f.path).unwrap() {
-                data.extend_from_slice(&h.datanodes.get(b.locations()[0], b.id).unwrap());
-            }
-            (f.path.clone(), data)
-        })
-        .collect()
-}
-
-fn run_flat(charge_s: f64, stream: StreamConfig) -> (JobResult, Vec<(String, Vec<u8>)>) {
+fn run_flat(charge_s: f64, fetch: Fetch) -> (JobResult, Vec<(String, Vec<u8>)>) {
     let mut c = fresh_cluster();
-    let r = run_job(&mut c, flat_job(charge_s, stream)).expect("overlap bench job");
-    let out = read_output(&c, "out");
+    let r = run_job(&mut c, flat_job(charge_s, fetch)).expect("overlap bench job");
+    let out = c.read_hdfs_dir("out").unwrap();
     (r, out)
 }
 
-fn off() -> StreamConfig {
-    StreamConfig {
-        enabled: false,
-        ..StreamConfig::default()
-    }
-}
-
-fn depth(d: usize) -> StreamConfig {
-    StreamConfig {
-        enabled: true,
-        prefetch_depth: d,
-    }
-}
+/// The default streaming pipeline.
+const STREAM: Fetch = Fetch::Stream(2);
 
 // ---------------------------------------------------------------------------
 // Chunked SNC slab job: pieces are CRC-verified chunks.
@@ -198,12 +200,7 @@ fn snc_cluster() -> (Cluster, Arc<scifmt::snc::VarMeta>, usize) {
 
 /// One split per half of the variable: each streams 4 CRC-verified chunk
 /// pieces carrying their decompress charges.
-fn slab_job(
-    var: &Arc<scifmt::snc::VarMeta>,
-    off: usize,
-    charge_s: f64,
-    stream: StreamConfig,
-) -> Job {
+fn slab_job(var: &Arc<scifmt::snc::VarMeta>, off: usize, charge_s: f64, fetch: Fetch) -> Job {
     let cache = Arc::new(ChunkCache::new(0));
     let splits: Vec<InputSplit> = (0..2)
         .map(|half| InputSplit {
@@ -221,7 +218,7 @@ fn slab_job(
             }),
         })
         .collect();
-    Job {
+    let job = Job {
         name: "slaboverlap".into(),
         splits,
         map_fn: Rc::new(move |input, ctx| {
@@ -247,26 +244,27 @@ fn slab_job(
         spill_to_pfs: false,
         output_to_pfs: false,
         ft: FtConfig::default(),
-        stream,
+        stream: StreamConfig::default(),
         shuffle: None,
-    }
+    };
+    with_fetch(job, fetch)
 }
 
-fn run_slab(charge_s: f64, stream: StreamConfig) -> (JobResult, Vec<(String, Vec<u8>)>) {
+fn run_slab(charge_s: f64, fetch: Fetch) -> (JobResult, Vec<(String, Vec<u8>)>) {
     let (mut c, var, off) = snc_cluster();
-    let r = run_job(&mut c, slab_job(&var, off, charge_s, stream)).expect("slab bench job");
-    let out = read_output(&c, "slab_out");
+    let r = run_job(&mut c, slab_job(&var, off, charge_s, fetch)).expect("slab bench job");
+    let out = c.read_hdfs_dir("slab_out").unwrap();
     (r, out)
 }
 
 fn main() {
     // Calibrate: the read phase a streaming fetcher could hide is the
-    // compute-free batch elapsed minus the fixed job overhead (startup,
+    // compute-free reference elapsed minus the fixed job overhead (startup,
     // shuffle, reduce, commit) measured on a near-empty read.
-    let (read_only, _) = run_flat(0.0, off());
+    let (read_only, _) = run_flat(0.0, Fetch::Whole);
     let overhead = {
         let mut c = fresh_cluster();
-        let mut j = flat_job(0.0, off());
+        let mut j = flat_job(0.0, Fetch::Whole);
         for s in &mut j.splits {
             s.length = 16;
         }
@@ -275,12 +273,12 @@ fn main() {
             .map(|i| InputSplit {
                 length: 16,
                 locations: Vec::new(),
-                fetcher: Rc::new(FlatPfsFetcher {
+                fetcher: Rc::new(Unpipelined(Rc::new(FlatPfsFetcher {
                     pfs_path: INPUT.to_string(),
                     offset: i * per,
                     len: 16,
                     sequential_chunks: 1,
-                }),
+                }))),
             })
             .collect();
         run_job(&mut c, j).expect("overhead probe").elapsed()
@@ -295,7 +293,8 @@ fn main() {
     );
     println!();
 
-    // 1. read:compute ratio sweep, batch vs streaming depth 2.
+    // 1. read:compute ratio sweep, no-overlap reference vs streaming
+    // depth 2.
     let ratios: &[f64] = if quick_mode() {
         &[1.0, 8.0]
     } else {
@@ -305,7 +304,7 @@ fn main() {
         "{}",
         row(&[
             "compute:read".into(),
-            "batch".into(),
+            "no overlap".into(),
             "stream".into(),
             "speedup".into(),
             "saved".into(),
@@ -316,8 +315,8 @@ fn main() {
     let mut sweep = Vec::new();
     for &ratio in ratios {
         let charge = ratio * read_s;
-        let (b, bout) = run_flat(charge, off());
-        let (s, sout) = run_flat(charge, StreamConfig::default());
+        let (b, bout) = run_flat(charge, Fetch::Whole);
+        let (s, sout) = run_flat(charge, STREAM);
         assert_eq!(sout, bout, "ratio {ratio}: streaming changed the output");
         let speedup = b.elapsed() / s.elapsed();
         println!(
@@ -353,29 +352,29 @@ fn main() {
 
     // 2. prefetch-depth sweep at the balanced ratio.
     let depths: &[usize] = if quick_mode() { &[1, 2] } else { &[1, 2, 4, 8] };
-    let (bal_batch, bal_out) = run_flat(read_s, off());
+    let (bal_ref, bal_out) = run_flat(read_s, Fetch::Whole);
     println!();
     println!(
-        "prefetch depth at compute:read = 1.0 (batch {}):",
-        fmt_s(bal_batch.elapsed())
+        "prefetch depth at compute:read = 1.0 (no overlap {}):",
+        fmt_s(bal_ref.elapsed())
     );
     let mut depth_rows = Vec::new();
     for &d in depths {
-        let (s, sout) = run_flat(read_s, depth(d));
+        let (s, sout) = run_flat(read_s, Fetch::Stream(d));
         assert_eq!(sout, bal_out, "depth {d}: output changed");
         println!(
-            "  depth {d}: {} ({} vs batch)",
+            "  depth {d}: {} ({} vs no overlap)",
             fmt_s(s.elapsed()),
-            fmt_x(bal_batch.elapsed() / s.elapsed())
+            fmt_x(bal_ref.elapsed() / s.elapsed())
         );
         depth_rows.push((d, s.elapsed()));
     }
 
     // 3. chunked SNC slab: pieces carry CRC verification + decompress.
-    let (slab_read, _) = run_slab(0.0, off());
+    let (slab_read, _) = run_slab(0.0, Fetch::Whole);
     let slab_charge = slab_read.elapsed() * 0.5;
-    let (sb, sb_out) = run_slab(slab_charge, off());
-    let (ss, ss_out) = run_slab(slab_charge, StreamConfig::default());
+    let (sb, sb_out) = run_slab(slab_charge, Fetch::Whole);
+    let (ss, ss_out) = run_slab(slab_charge, STREAM);
     assert_eq!(ss_out, sb_out, "slab streaming changed the output");
     assert!(
         ss.counters.get(keys::CHECKSUM_VERIFIED_BYTES) > 0.0,
@@ -384,7 +383,7 @@ fn main() {
     let slab_speedup = sb.elapsed() / ss.elapsed();
     println!();
     println!(
-        "snc slab ({} chunks/split): batch {} stream {} ({}), verified {} B",
+        "snc slab ({} chunks/split): no overlap {} stream {} ({}), verified {} B",
         SNC_LEVS / 2 / 2,
         fmt_s(sb.elapsed()),
         fmt_s(ss.elapsed()),
@@ -397,7 +396,7 @@ fn main() {
         .iter()
         .map(|(ratio, be, se, speedup, s)| {
             format!(
-                "{{\"compute_read_ratio\":{ratio},\"batch_s\":{be:.6},\"stream_s\":{se:.6},\"speedup\":{speedup:.4},\"overlap_saved_s\":{:.6},\"pieces_prefetched\":{:.0},\"output_identical\":true}}",
+                "{{\"compute_read_ratio\":{ratio},\"reference_s\":{be:.6},\"stream_s\":{se:.6},\"speedup\":{speedup:.4},\"overlap_saved_s\":{:.6},\"pieces_prefetched\":{:.0},\"output_identical\":true}}",
                 s.counters.get(keys::OVERLAP_SAVED_S),
                 s.counters.get(keys::PIECES_PREFETCHED),
             )
@@ -410,7 +409,7 @@ fn main() {
         .collect::<Vec<_>>()
         .join(",");
     let json = format!(
-        "{{\n  \"read_phase_s\": {read_s:.6},\n  \"sweep\": [{sweep_json}],\n  \"depths\": [{depth_json}],\n  \"snc_slab\": {{\"batch_s\": {:.6}, \"stream_s\": {:.6}, \"speedup\": {:.4}, \"checksum_verified_bytes\": {:.0}}}\n}}\n",
+        "{{\n  \"read_phase_s\": {read_s:.6},\n  \"sweep\": [{sweep_json}],\n  \"depths\": [{depth_json}],\n  \"snc_slab\": {{\"reference_s\": {:.6}, \"stream_s\": {:.6}, \"speedup\": {:.4}, \"checksum_verified_bytes\": {:.0}}}\n}}\n",
         sb.elapsed(),
         ss.elapsed(),
         slab_speedup,

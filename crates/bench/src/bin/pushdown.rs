@@ -89,23 +89,6 @@ fn fresh_cluster(container: &[u8]) -> Cluster {
     c
 }
 
-/// Committed reduce output, sorted by path for byte-identity checks.
-fn read_output(c: &Cluster, dir: &str) -> Vec<(String, Vec<u8>)> {
-    let h = c.hdfs.borrow();
-    let mut files = h.namenode.list_files_recursive(dir).expect("output dir");
-    files.sort_by(|a, b| a.path.cmp(&b.path));
-    files
-        .iter()
-        .map(|f| {
-            let mut data = Vec::new();
-            for b in h.namenode.blocks(&f.path).expect("blocks") {
-                data.extend_from_slice(&h.datanodes.get(b.locations()[0], b.id).expect("block"));
-            }
-            (f.path.clone(), data)
-        })
-        .collect()
-}
-
 fn run_scan(
     container: &[u8],
     sql: &str,
@@ -118,7 +101,7 @@ fn run_scan(
         ..SqlScanConfig::new(["V"], sql)
     };
     let r = run_sql_scan(&mut c, &format!("lustre://{DIR}"), &cfg).expect("sql scan");
-    let out = read_output(&c, "sql_out");
+    let out = c.read_hdfs_dir("sql_out").unwrap();
     (r, out)
 }
 

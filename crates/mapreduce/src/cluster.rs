@@ -8,6 +8,8 @@ use simnet::{ClusterCache, ClusterSpec, CostModel, FlowNet, Sim, SimTime, Topolo
 
 use hdfs::{Hdfs, SharedHdfs};
 
+use crate::job::MrError;
+
 /// Handles a task needs to reach the world from inside sim callbacks.
 #[derive(Clone)]
 pub struct MrEnv {
@@ -92,6 +94,33 @@ impl Cluster {
     /// Drain the event queue; returns final virtual time.
     pub fn run(&mut self) -> SimTime {
         self.sim.run()
+    }
+
+    /// Every HDFS file under `dir` as `(path, bytes)`, sorted by path, read
+    /// from each block's first replica without moving simulated time — what
+    /// byte-identity checks compare across runs.
+    pub fn read_hdfs_dir(&self, dir: &str) -> Result<Vec<(String, Vec<u8>)>, MrError> {
+        let h = self.hdfs.borrow();
+        let ns = |e| MrError::msg(format!("hdfs: {e} ({dir})"));
+        let mut files = h.namenode.list_files_recursive(dir).map_err(ns)?;
+        files.sort_by(|a, b| a.path.cmp(&b.path));
+        files
+            .into_iter()
+            .map(|f| {
+                let mut data = Vec::new();
+                for b in h.namenode.blocks(&f.path).map_err(ns)? {
+                    let bytes = b
+                        .locations()
+                        .first()
+                        .and_then(|&n| h.datanodes.get(n, b.id));
+                    let bytes = bytes.ok_or_else(|| {
+                        MrError::msg(format!("{}: block {:?} has no replica", f.path, b.id))
+                    })?;
+                    data.extend_from_slice(&bytes);
+                }
+                Ok((f.path, data))
+            })
+            .collect()
     }
 }
 

@@ -82,14 +82,6 @@ pub mod keys {
     pub const LINEAGE_RECOMPUTES: &str = "lineage_recomputes";
     /// Registered shuffle/result partitions invalidated by node deaths.
     pub const SHUFFLE_PARTITIONS_LOST: &str = "shuffle_partitions_lost";
-    /// Committed map tasks that asked for the streaming fetch path but fell
-    /// back to a batch fetch (sum of the per-reason fallback counters).
-    pub const STREAM_FALLBACKS: &str = "stream_fallbacks";
-    /// Fallbacks because the split's fetcher has no streaming support.
-    pub const STREAM_FALLBACK_UNSUPPORTED: &str = "stream_fallback_unsupported";
-    /// Fallbacks because predicate pushdown delivers pre-filtered frames
-    /// the chunk-granular streaming pipeline cannot assemble.
-    pub const STREAM_FALLBACK_PUSHDOWN: &str = "stream_fallback_pushdown";
     /// Heartbeats a node failed to deliver on time (hung, partitioned, or
     /// dead nodes miss every tick until declared dead or reinstated).
     pub const HEARTBEATS_MISSED: &str = "heartbeats_missed";

@@ -31,7 +31,7 @@ use simnet::{NodeId, Sim};
 use crate::cluster::{Cluster, MrEnv};
 use crate::counters::{keys, Counters};
 use crate::dataset::{Dataset, GroupFn, PairFilterFn, PairMapFn, PlanNode, RecordReadFn};
-use crate::input::{FetchDone, FetchResult, InputSplit, SplitFetcher, TaskInput};
+use crate::input::{FetchDone, FetchResult, InputSplit, OneShotFetcher, TaskInput};
 use crate::job::{
     serialize_kvs, submit_job_env, FtConfig, Job, Kv, MapFn, MrError, Payload, StreamConfig,
     TaskCtx,
@@ -163,13 +163,14 @@ pub struct ShuffleSink {
 /// network flow per holding node. A hole (an expected output not in the
 /// store) fails the attempt and records the hole so the DAG driver can tell
 /// lineage loss from a genuine task error.
+#[derive(Clone)]
 struct ShuffleFetcher {
     sources: Vec<(u64, u8)>,
     partition: usize,
     store: SharedShuffleStore,
 }
 
-impl SplitFetcher for ShuffleFetcher {
+impl OneShotFetcher for ShuffleFetcher {
     fn fetch(&self, env: &MrEnv, sim: &mut Sim, node: NodeId, done: FetchDone) {
         let mut transfers: Vec<(NodeId, usize)> = Vec::new();
         let mut pairs: Vec<(u8, String, Payload)> = Vec::new();
@@ -457,7 +458,6 @@ pub struct DagJob {
     /// Stage spills cross the network to the PFS (connector mode).
     pub spill_to_pfs: bool,
     pub ft: FtConfig,
-    pub stream: StreamConfig,
 }
 
 impl DagJob {
@@ -469,7 +469,6 @@ impl DagJob {
             output_to_pfs: false,
             spill_to_pfs: false,
             ft: FtConfig::default(),
-            stream: StreamConfig::default(),
         }
     }
 }
@@ -525,7 +524,6 @@ struct DagDriver {
     output_to_pfs: bool,
     spill_to_pfs: bool,
     ft: FtConfig,
-    stream: StreamConfig,
     stages: Vec<Stage>,
     /// shuffle id → index of the stage producing it.
     producer: BTreeMap<u64, usize>,
@@ -650,7 +648,6 @@ pub fn submit_dag(
         output_to_pfs: dag.output_to_pfs,
         spill_to_pfs: dag.spill_to_pfs,
         ft: dag.ft,
-        stream: dag.stream,
         stages,
         producer,
         final_stage,
@@ -812,7 +809,7 @@ fn submit_stage(sim: &mut Sim, d: &SharedDag, idx: usize, missing: Vec<usize>, r
             spill_to_pfs: dd.spill_to_pfs,
             output_to_pfs: dd.output_to_pfs,
             ft: dd.ft.clone(),
-            stream: dd.stream.clone(),
+            stream: StreamConfig::default(),
             shuffle: Some(ShuffleSink {
                 shuffle_id: stage.out_shuffle,
                 n_partitions: stage.out_partitions,

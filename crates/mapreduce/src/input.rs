@@ -1,11 +1,17 @@
 //! Input splits and fetchers — the `InputFormat`/`RecordReader` layer.
 //!
 //! A split names *where* its data lives (for locality scheduling) and
-//! carries a [`SplitFetcher`] that, inside the task, performs the timed
-//! transfer and hands back a [`TaskInput`]. The engine ships fetchers for
-//! HDFS blocks and flat PFS ranges (the PortHadoop mapping); `scidp` adds
-//! the scientific-slab fetcher on top of its Data Mapper.
+//! carries a [`SplitFetcher`] that, inside the task, opens the split's
+//! [`PieceStream`]: the timed transfers, piece by piece, ending in a
+//! [`TaskInput`]. The driver overlaps pieces still in flight with the
+//! compute of those that have landed. A fetcher that moves its split in one
+//! timed read implements [`OneShotFetcher`] and streams as a single piece;
+//! [`read_whole`] fetches a whole split outside the driver. The engine
+//! ships fetchers for HDFS blocks and flat PFS ranges (the PortHadoop
+//! mapping); `scidp` adds the scientific-slab fetcher on top of its Data
+//! Mapper.
 
+use std::cell::RefCell;
 use std::rc::Rc;
 
 use simnet::{NodeId, Sim};
@@ -43,30 +49,6 @@ impl TaskInput {
     }
 }
 
-/// Why a streaming fetch could not be opened for a split. The driver falls
-/// back to the one-shot [`SplitFetcher::fetch`] path and records the reason
-/// under [`crate::counters::keys::STREAM_FALLBACKS`] plus the per-reason key,
-/// so a job that silently loses read/compute overlap is visible in counters.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum StreamFallback {
-    /// The split's fetcher has no streaming implementation.
-    Unsupported,
-    /// Predicate pushdown pre-filters chunks into a frame, which the
-    /// chunk-granular streaming pipeline cannot assemble piecewise.
-    Pushdown,
-}
-
-impl StreamFallback {
-    /// Counter key naming this fallback reason.
-    pub fn counter_key(&self) -> &'static str {
-        use crate::counters::keys;
-        match self {
-            StreamFallback::Unsupported => keys::STREAM_FALLBACK_UNSUPPORTED,
-            StreamFallback::Pushdown => keys::STREAM_FALLBACK_PUSHDOWN,
-        }
-    }
-}
-
 /// Result of fetching a split: the data plus any compute charges the fetch
 /// implies beyond the transfer itself (e.g. decompression).
 pub struct FetchResult {
@@ -93,12 +75,13 @@ impl FetchResult {
     }
 }
 
-/// Completion callback of a [`SplitFetcher::fetch`]. An `Err` marks the
-/// *attempt* as failed — the driver releases the slot and retries the task;
-/// fetchers must never panic on I/O errors.
+/// Completion callback of a whole-split fetch ([`OneShotFetcher::fetch`],
+/// [`read_whole`]). An `Err` marks the *attempt* as failed — the driver
+/// releases the slot and retries the task; fetchers must never panic on I/O
+/// errors.
 pub type FetchDone = Box<dyn FnOnce(&mut Sim, Result<FetchResult, MrError>)>;
 
-/// One chunk-granular unit of a streaming fetch (see [`PieceStream`]).
+/// One unit of a streaming fetch (see [`PieceStream`]).
 ///
 /// A piece carries no payload bytes itself — the stream keeps the data
 /// internally and assembles the full [`FetchResult`] in
@@ -119,14 +102,14 @@ pub struct FetchPiece {
 }
 
 /// Completion callback of one [`PieceStream::fetch_piece`]. An `Err` kills
-/// the attempt exactly like a batch fetch error.
+/// the attempt.
 pub type PieceDone = Box<dyn FnOnce(&mut Sim, Result<FetchPiece, MrError>)>;
 
-/// A streaming view of one split's fetch: the driver pulls pieces in index
-/// order through a bounded prefetch window, overlapping in-flight reads
-/// with per-piece map compute, then calls [`PieceStream::finish`] once all
-/// pieces have arrived to assemble the same [`FetchResult`] the batch path
-/// would have produced (byte-identical by construction).
+/// A split's fetch as a sequence of pieces. The driver pulls pieces in
+/// index order through a bounded prefetch window, overlapping in-flight
+/// reads with per-piece map compute, then calls [`PieceStream::finish`]
+/// once all pieces have arrived to assemble the split's [`FetchResult`].
+/// Callers outside the driver use [`read_whole`].
 pub trait PieceStream {
     /// Number of pieces this stream will deliver (fixed at open time).
     fn n_pieces(&self) -> usize;
@@ -143,22 +126,10 @@ pub trait PieceStream {
 
 /// Fetches one split's data inside a running task.
 pub trait SplitFetcher {
-    /// Start the (timed) fetch on `node`; call `done` exactly once with the
-    /// result (or the error that killed this attempt).
-    fn fetch(&self, env: &MrEnv, sim: &mut Sim, node: NodeId, done: FetchDone);
-
-    /// Open a streaming view of this split's fetch, or the reason it cannot
-    /// stream (the default: no streaming support). On `Err` — or when the
-    /// job disables streaming — the driver falls back to
-    /// [`SplitFetcher::fetch`] and counts the fallback reason.
-    fn open_stream(
-        &self,
-        _env: &MrEnv,
-        _sim: &mut Sim,
-        _node: NodeId,
-    ) -> Result<Box<dyn PieceStream>, StreamFallback> {
-        Err(StreamFallback::Unsupported)
-    }
+    /// Open the piece stream of this split's fetch on `node` — the only way
+    /// the driver reaches a split's data. Opening moves no bytes; a split
+    /// that cannot be read fails from its first piece.
+    fn open_stream(&self, env: &MrEnv, sim: &mut Sim, node: NodeId) -> Box<dyn PieceStream>;
 
     /// Chunk keys this split would read from the cluster chunk-cache tier
     /// (`(content file key, chunk offset)` pairs — see
@@ -172,6 +143,156 @@ pub trait SplitFetcher {
 
     /// Human-readable description for traces.
     fn describe(&self) -> String;
+}
+
+/// A fetcher that delivers its whole split in one timed read. Every such
+/// fetcher is a [`SplitFetcher`] whose stream has one piece: the piece
+/// carries no bytes and no charges, and [`PieceStream::finish`] hands over
+/// the fetch's result — so the driver's pipelined timeline reduces to
+/// read-then-compute.
+pub trait OneShotFetcher: Clone + 'static {
+    /// Start the (timed) fetch on `node`; call `done` exactly once with the
+    /// result (or the error that killed this attempt).
+    fn fetch(&self, env: &MrEnv, sim: &mut Sim, node: NodeId, done: FetchDone);
+
+    /// Human-readable description for traces.
+    fn describe(&self) -> String;
+}
+
+impl<F: OneShotFetcher> SplitFetcher for F {
+    fn open_stream(&self, _env: &MrEnv, _sim: &mut Sim, _node: NodeId) -> Box<dyn PieceStream> {
+        Box::new(OnePieceStream {
+            fetcher: self.clone(),
+            result: Rc::new(RefCell::new(None)),
+        })
+    }
+
+    fn describe(&self) -> String {
+        OneShotFetcher::describe(self)
+    }
+}
+
+/// The one-piece stream of a [`OneShotFetcher`].
+struct OnePieceStream<F> {
+    fetcher: F,
+    result: Rc<RefCell<Option<FetchResult>>>,
+}
+
+impl<F: OneShotFetcher> PieceStream for OnePieceStream<F> {
+    fn n_pieces(&self) -> usize {
+        1
+    }
+
+    fn fetch_piece(&self, env: &MrEnv, sim: &mut Sim, node: NodeId, _idx: usize, done: PieceDone) {
+        let result = self.result.clone();
+        self.fetcher.fetch(
+            env,
+            sim,
+            node,
+            Box::new(move |sim, fr| match fr {
+                Ok(fr) => {
+                    *result.borrow_mut() = Some(fr);
+                    let piece = FetchPiece {
+                        bytes: 0,
+                        charges: Vec::new(),
+                        counters: Vec::new(),
+                    };
+                    done(sim, Ok(piece));
+                }
+                Err(e) => done(sim, Err(e)),
+            }),
+        );
+    }
+
+    fn finish(&self) -> Result<FetchResult, MrError> {
+        self.result
+            .borrow_mut()
+            .take()
+            .ok_or_else(|| MrError::msg("one-shot fetch finished without a result"))
+    }
+}
+
+/// Fetch a whole split outside the driver: issue every piece of `stream`
+/// at once, then deliver one [`FetchResult`] whose charges and counters
+/// are the pieces' (in piece order) followed by [`PieceStream::finish`]'s.
+/// The first failing piece fails the fetch.
+pub fn read_whole(
+    stream: Box<dyn PieceStream>,
+    env: &MrEnv,
+    sim: &mut Sim,
+    node: NodeId,
+    done: FetchDone,
+) {
+    /// `done` until the fetch completes or fails, and the landed pieces.
+    type Whole = RefCell<(Option<FetchDone>, Vec<Option<FetchPiece>>)>;
+    fn deliver(sim: &mut Sim, stream: &dyn PieceStream, w: &Whole) {
+        let (done, pieces) = {
+            let mut w = w.borrow_mut();
+            if w.1.iter().any(Option::is_none) {
+                return;
+            }
+            let Some(done) = w.0.take() else {
+                return;
+            };
+            (done, std::mem::take(&mut w.1))
+        };
+        let res = stream.finish().map(|mut fr| {
+            let (mut charges, mut counters) = (Vec::new(), Vec::new());
+            for p in pieces.into_iter().flatten() {
+                charges.extend(p.charges);
+                counters.extend(p.counters);
+            }
+            charges.append(&mut fr.charges);
+            counters.append(&mut fr.counters);
+            FetchResult {
+                charges,
+                counters,
+                ..fr
+            }
+        });
+        done(sim, res);
+    }
+    let stream: Rc<dyn PieceStream> = Rc::from(stream);
+    let n = stream.n_pieces();
+    let w: Rc<Whole> = Rc::new(RefCell::new((Some(done), (0..n).map(|_| None).collect())));
+    if n == 0 {
+        sim.after(0.0, move |sim| deliver(sim, &*stream, &w));
+        return;
+    }
+    for idx in 0..n {
+        let (stream2, w2) = (stream.clone(), w.clone());
+        let piece_done: PieceDone = Box::new(move |sim, res| match res {
+            Ok(p) => {
+                if let Some(slot) = w2.borrow_mut().1.get_mut(idx) {
+                    *slot = Some(p);
+                }
+                deliver(sim, &*stream2, &w2);
+            }
+            Err(e) => {
+                let done = w2.borrow_mut().0.take();
+                if let Some(done) = done {
+                    done(sim, Err(e));
+                }
+            }
+        });
+        stream.fetch_piece(env, sim, node, idx, piece_done);
+    }
+}
+
+/// The no-overlap reference for the streaming pipeline: `inner`'s stream
+/// read whole by [`read_whole`] and handed to the driver as one piece —
+/// the same reads, all issued at once, then all of the compute.
+#[derive(Clone)]
+pub struct Unpipelined(pub Rc<dyn SplitFetcher>);
+
+impl OneShotFetcher for Unpipelined {
+    fn fetch(&self, env: &MrEnv, sim: &mut Sim, node: NodeId, done: FetchDone) {
+        read_whole(self.0.open_stream(env, sim, node), env, sim, node, done);
+    }
+
+    fn describe(&self) -> String {
+        format!("unpipelined({})", self.0.describe())
+    }
 }
 
 /// Wrap a stream so its assembled [`FetchResult`] carries `tag` — for
@@ -257,12 +378,13 @@ pub fn read_event_counters(ev: hdfs::ReadEvents) -> Vec<(&'static str, f64)> {
 }
 
 /// Reads one real HDFS block (the vanilla Hadoop record reader).
+#[derive(Clone)]
 pub struct HdfsBlockFetcher {
     pub path: String,
     pub block_index: usize,
 }
 
-impl SplitFetcher for HdfsBlockFetcher {
+impl OneShotFetcher for HdfsBlockFetcher {
     fn fetch(&self, env: &MrEnv, sim: &mut Sim, node: NodeId, done: FetchDone) {
         // HDFS block reads address blocks, not paths; count the read (and
         // test it against the fault plan) under the file path here.
@@ -372,8 +494,8 @@ pub fn hdfs_file_splits(env: &MrEnv, path: &str) -> Result<Vec<InputSplit>, MrEr
 /// Reads a byte range of a PFS file directly into the task — the
 /// PortHadoop dynamic PFS reader. `sequential_chunks` models the read
 /// granularity: 1 = one whole-block I/O request (SciDP's optimization,
-/// §III-A.3); `k` > 1 = `k` back-to-back smaller requests (original Hadoop
-/// reads 64 KB at a time).
+/// §III-A.3); `k` > 1 = `k` smaller requests, one stream piece each
+/// (original Hadoop reads 64 KB at a time).
 pub struct FlatPfsFetcher {
     pub pfs_path: String,
     pub offset: u64,
@@ -382,9 +504,8 @@ pub struct FlatPfsFetcher {
 }
 
 impl FlatPfsFetcher {
-    /// The byte ranges one fetch covers, in read-issue order (shared by the
-    /// batch and streaming paths so both consume fault-plan entries in the
-    /// same per-path order).
+    /// The byte ranges one fetch covers, one per stream piece, in
+    /// read-issue order.
     fn ranges(&self) -> Vec<(u64, u64)> {
         let k = self.sequential_chunks.max(1) as u64;
         let chunk = self.len.div_ceil(k);
@@ -401,59 +522,14 @@ impl FlatPfsFetcher {
         }
         ranges
     }
-
-    #[allow(clippy::too_many_arguments)]
-    fn read_chunks(
-        env: MrEnv,
-        sim: &mut Sim,
-        node: NodeId,
-        path: String,
-        ranges: Vec<(u64, u64)>,
-        idx: usize,
-        mut acc: Vec<u8>,
-        done: FetchDone,
-    ) {
-        if idx >= ranges.len() {
-            done(sim, Ok(FetchResult::plain(TaskInput::Bytes(acc))));
-            return;
-        }
-        let (off, len) = ranges[idx];
-        let env2 = env.clone();
-        let path2 = path.clone();
-        let done_cell = std::rc::Rc::new(std::cell::RefCell::new(Some(done)));
-        let dc = done_cell.clone();
-        let res = pfs::read_at(
-            sim,
-            &env.topo,
-            &env.pfs,
-            node,
-            &path,
-            off as usize,
-            len as usize,
-            move |sim, bytes| {
-                let Some(done) = dc.borrow_mut().take() else {
-                    return;
-                };
-                acc.extend_from_slice(&bytes);
-                FlatPfsFetcher::read_chunks(env2, sim, node, path2, ranges, idx + 1, acc, done);
-            },
-        );
-        if let Err(e) = res {
-            if let Some(done) = done_cell.borrow_mut().take() {
-                let e = MrError::msg(format!("pfs: {e}"));
-                sim.after(0.0, move |sim| done(sim, Err(e)));
-            }
-        }
-    }
 }
 
 /// Streaming view of a [`FlatPfsFetcher`]: one piece per read request,
-/// parts re-assembled in range order at [`PieceStream::finish`] so the
-/// result is byte-identical to the batch path.
+/// parts re-assembled in range order at [`PieceStream::finish`].
 struct FlatPieceStream {
     path: String,
     ranges: Vec<(u64, u64)>,
-    parts: Rc<std::cell::RefCell<Vec<Option<Vec<u8>>>>>,
+    parts: Rc<RefCell<Vec<Option<Vec<u8>>>>>,
 }
 
 impl PieceStream for FlatPieceStream {
@@ -462,9 +538,14 @@ impl PieceStream for FlatPieceStream {
     }
 
     fn fetch_piece(&self, env: &MrEnv, sim: &mut Sim, node: NodeId, idx: usize, done: PieceDone) {
-        let (off, len) = self.ranges[idx];
+        let Some(&(off, len)) = self.ranges.get(idx) else {
+            // The piece scheduler only issues indices < n_pieces().
+            let e = MrError::msg(format!("piece {idx} out of range"));
+            sim.after(0.0, move |sim| done(sim, Err(e)));
+            return;
+        };
         let slots = self.parts.clone();
-        let done_cell = std::rc::Rc::new(std::cell::RefCell::new(Some(done)));
+        let done_cell = Rc::new(RefCell::new(Some(done)));
         let dc = done_cell.clone();
         let res = pfs::read_at(
             sim,
@@ -478,7 +559,9 @@ impl PieceStream for FlatPieceStream {
                 let Some(done) = dc.borrow_mut().take() else {
                     return;
                 };
-                slots.borrow_mut()[idx] = Some(bytes.to_vec());
+                if let Some(slot) = slots.borrow_mut().get_mut(idx) {
+                    *slot = Some(bytes.to_vec());
+                }
                 done(
                     sim,
                     Ok(FetchPiece {
@@ -510,32 +593,14 @@ impl PieceStream for FlatPieceStream {
 }
 
 impl SplitFetcher for FlatPfsFetcher {
-    fn fetch(&self, env: &MrEnv, sim: &mut Sim, node: NodeId, done: FetchDone) {
-        FlatPfsFetcher::read_chunks(
-            env.clone(),
-            sim,
-            node,
-            self.pfs_path.clone(),
-            self.ranges(),
-            0,
-            Vec::new(),
-            done,
-        );
-    }
-
-    fn open_stream(
-        &self,
-        _env: &MrEnv,
-        _sim: &mut Sim,
-        _node: NodeId,
-    ) -> Result<Box<dyn PieceStream>, StreamFallback> {
+    fn open_stream(&self, _env: &MrEnv, _sim: &mut Sim, _node: NodeId) -> Box<dyn PieceStream> {
         let ranges = self.ranges();
-        let parts = Rc::new(std::cell::RefCell::new(vec![None; ranges.len()]));
-        Ok(Box::new(FlatPieceStream {
+        let parts = Rc::new(RefCell::new(vec![None; ranges.len()]));
+        Box::new(FlatPieceStream {
             path: self.pfs_path.clone(),
             ranges,
             parts,
-        }))
+        })
     }
 
     fn describe(&self) -> String {
@@ -548,11 +613,12 @@ impl SplitFetcher for FlatPfsFetcher {
 
 /// A fetcher that delivers pre-staged data with no I/O (tests, in-memory
 /// workloads).
+#[derive(Clone)]
 pub struct InMemoryFetcher {
     pub data: Vec<u8>,
 }
 
-impl SplitFetcher for InMemoryFetcher {
+impl OneShotFetcher for InMemoryFetcher {
     fn fetch(&self, _env: &MrEnv, sim: &mut Sim, _node: NodeId, done: FetchDone) {
         let data = self.data.clone();
         sim.after(0.0, move |sim| {

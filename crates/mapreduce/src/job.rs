@@ -223,26 +223,20 @@ impl Default for FtConfig {
     }
 }
 
-/// Streaming-input pipeline policy: whether map attempts pull their split
-/// as chunk-granular pieces through a bounded prefetch window, overlapping
-/// in-flight PFS reads with per-piece map compute (§III-A.3's "reads
-/// proceed in parallel and overlapped with compute", realized *inside*
-/// each task instead of only across tasks).
+/// Streaming-input pipeline policy: map attempts pull their split as
+/// pieces through a bounded prefetch window, overlapping in-flight PFS
+/// reads with per-piece map compute (§III-A.3's "reads proceed in parallel
+/// and overlapped with compute", realized *inside* each task instead of
+/// only across tasks).
 #[derive(Clone, Debug)]
 pub struct StreamConfig {
-    /// Use streaming fetches when a split's fetcher supports them
-    /// (fetchers without streaming support always take the batch path).
-    pub enabled: bool,
     /// Maximum pieces in flight at once (≥ 1; 2 = double buffering).
     pub prefetch_depth: usize,
 }
 
 impl Default for StreamConfig {
     fn default() -> Self {
-        StreamConfig {
-            enabled: true,
-            prefetch_depth: 2,
-        }
+        StreamConfig { prefetch_depth: 2 }
     }
 }
 
@@ -454,22 +448,6 @@ impl JobResult {
             ));
         }
         Some(s)
-    }
-
-    /// Streaming-fallback summary from the counters: committed map tasks
-    /// that asked for the streaming fetch path but took the batch path,
-    /// with per-reason counts. `None` when no task fell back.
-    pub fn stream_fallbacks(&self) -> Option<String> {
-        let c = &self.counters;
-        let total = c.get(keys::STREAM_FALLBACKS);
-        if total == 0.0 {
-            return None;
-        }
-        Some(format!(
-            "{total:.0} stream fallback(s) ({:.0} unsupported fetcher, {:.0} pushdown)",
-            c.get(keys::STREAM_FALLBACK_UNSUPPORTED),
-            c.get(keys::STREAM_FALLBACK_PUSHDOWN),
-        ))
     }
 }
 
@@ -1517,7 +1495,7 @@ fn maybe_speculate(sim: &mut Sim, d: &SharedDriver, id: AttemptId) {
 /// [`Counters`] merged only at commit, so failed/orphaned attempts never
 /// distort the job totals.
 fn run_map_attempt(sim: &mut Sim, d: &SharedDriver, id: AttemptId) {
-    let (env, startup, fetcher, node, split_len, stream_cfg) = {
+    let (env, startup, fetcher, node, split_len, depth) = {
         let dd = d.borrow();
         let info = &dd.attempts[&id];
         (
@@ -1526,107 +1504,73 @@ fn run_map_attempt(sim: &mut Sim, d: &SharedDriver, id: AttemptId) {
             dd.job.splits[info.task].fetcher.clone(),
             info.node,
             dd.job.splits[info.task].length as f64,
-            dd.job.stream.clone(),
+            dd.job.stream.prefetch_depth.max(1),
         )
     };
     let mut acnt = Counters::new();
     acnt.add(keys::INPUT_BYTES, split_len);
-    let d2 = d.clone();
+    let d = d.clone();
     sim.after(startup, move |sim| {
-        if !attempt_live(&d2, id) {
+        if !attempt_live(&d, id) {
             return;
         }
-        let fetch_start = sim.now().secs();
-        if stream_cfg.enabled {
-            match fetcher.open_stream(&env, sim, node) {
-                Ok(stream) => {
-                    run_stream_attempt(
-                        sim,
-                        &d2,
-                        id,
-                        &env,
-                        stream.into(),
-                        node,
-                        startup,
-                        fetch_start,
-                        stream_cfg.prefetch_depth.max(1),
-                        acnt,
-                    );
-                    return;
-                }
-                Err(fb) => {
-                    // Attempt-local, merged only at commit: exactly one
-                    // fallback (with its reason) per committed task.
-                    acnt.add(keys::STREAM_FALLBACKS, 1.0);
-                    acnt.add(fb.counter_key(), 1.0);
-                }
-            }
-        }
-        let d3 = d2.clone();
-        fetcher.fetch(
-            &env,
-            sim,
+        let stream = fetcher.open_stream(&env, sim, node);
+        let n = stream.n_pieces();
+        let f = Rc::new(MapFetch {
+            d,
+            id,
+            env,
+            stream,
             node,
-            Box::new(move |sim, fr| {
-                if !attempt_live(&d3, id) {
-                    return;
-                }
-                let fr = match fr {
-                    Ok(fr) => fr,
-                    Err(e) => {
-                        attempt_failed(sim, &d3, id, e);
-                        return;
-                    }
-                };
-                let read_s = sim.now().secs() - fetch_start;
-                // Real map execution.
-                let (map_fn, penalty) = {
-                    let dd = d3.borrow();
-                    let p = if dd.env.slots_per_node > 1 {
-                        sim.cost.parallel_compute_penalty
-                    } else {
-                        1.0
-                    };
-                    (dd.job.map_fn.clone(), p)
-                };
-                let mut ctx = TaskCtx::new(sim.cost.clone());
-                ctx.tag = fr.tag;
-                for (phase, secs) in &fr.charges {
-                    ctx.charge(phase, *secs);
-                }
-                for (key, v) in &fr.counters {
-                    acnt.add(key, *v);
-                }
-                if let Err(e) = (map_fn)(fr.input, &mut ctx) {
-                    attempt_failed(sim, &d3, id, e);
-                    return;
-                }
-                // A fault-plan slowdown stretches this attempt's compute —
-                // the straggler model speculation reacts to.
-                let factor = penalty * sim.faults.slow_factor(node.0);
-                let compute = ctx.total_charge() * factor;
-                let mut phases = vec![("startup", startup), ("read", read_s)];
-                for (p, s) in &ctx.charges {
-                    phases.push((p, s * factor));
-                }
-                let records = ctx.records;
-                let emitted = ctx.emitted;
-                let d4 = d3.clone();
-                sim.after(compute, move |sim| {
-                    if !attempt_live(&d4, id) || node_silent(sim, node) {
-                        return;
-                    }
-                    finish_map_compute(sim, &d4, id, phases, emitted, records, acnt)
-                });
+            startup,
+            fetch_start: sim.now().secs(),
+            depth,
+            st: RefCell::new(StreamState {
+                next_issue: 0,
+                in_flight: 0,
+                arrived: 0,
+                arrivals: vec![0.0; n],
+                piece_charge: vec![0.0; n],
+                piece_bytes: vec![0.0; n],
+                charges: Vec::new(),
+                acnt,
             }),
-        );
+        });
+        if n == 0 {
+            // Nothing to transfer (e.g. every chunk was cached): straight to map.
+            stream_map(sim, &f);
+        } else {
+            issue_pieces(sim, &f);
+        }
     });
 }
 
-/// Bookkeeping of one streaming map attempt: pieces are issued in index
-/// order through a window of at most `prefetch_depth` in-flight reads, and
-/// each arrival is timestamped so the pipelined-compute timeline can be
-/// derived once the full split is resident.
+/// The fetch of one map attempt (the intra-task read/compute overlap
+/// pipeline). Reads run for real through the simulated PFS with at most
+/// `depth` pieces in flight; the map function runs once on the assembled
+/// input (so output never depends on how the split was cut into pieces),
+/// and the attempt's duration is the pipelined timeline
+/// `f_i = max(f_{i-1}, a_i) + c_i` — compute of piece `i` starts as soon as
+/// both the piece has arrived (`a_i`) and the previous piece's compute has
+/// finished, i.e. `max(read, compute)`-shaped instead of `read + compute`.
+/// A one-piece stream (a [`crate::OneShotFetcher`]) reduces to exactly
+/// read-then-compute: `f_0 = a_0 + (0 + tail·1)·factor`.
+struct MapFetch {
+    d: SharedDriver,
+    id: AttemptId,
+    env: MrEnv,
+    stream: Box<dyn PieceStream>,
+    node: NodeId,
+    startup: f64,
+    fetch_start: f64,
+    depth: usize,
+    st: RefCell<StreamState>,
+}
+
+/// Bookkeeping of a [`MapFetch`]: pieces are issued in index order through
+/// a window of at most `depth` in-flight reads, and each arrival is
+/// timestamped so the pipelined-compute timeline can be derived once the
+/// full split is resident.
 struct StreamState {
     next_issue: usize,
     in_flight: usize,
@@ -1643,77 +1587,14 @@ struct StreamState {
     acnt: Counters,
 }
 
-/// Streaming fetch of one map attempt (the intra-task read/compute overlap
-/// pipeline). Reads run for real through the simulated PFS with at most
-/// `depth` pieces in flight; the map function runs once on the assembled
-/// input (so output stays byte-identical to the batch path), and the
-/// attempt's duration is the pipelined timeline
-/// `f_i = max(f_{i-1}, a_i) + c_i` — compute of piece `i` starts as soon as
-/// both the piece has arrived (`a_i`) and the previous piece's compute has
-/// finished, i.e. `max(read, compute)`-shaped instead of `read + compute`.
-#[allow(clippy::too_many_arguments)]
-fn run_stream_attempt(
-    sim: &mut Sim,
-    d: &SharedDriver,
-    id: AttemptId,
-    env: &MrEnv,
-    stream: Rc<dyn PieceStream>,
-    node: NodeId,
-    startup: f64,
-    fetch_start: f64,
-    depth: usize,
-    acnt: Counters,
-) {
-    let n = stream.n_pieces();
-    let st = Rc::new(RefCell::new(StreamState {
-        next_issue: 0,
-        in_flight: 0,
-        arrived: 0,
-        arrivals: vec![0.0; n],
-        piece_charge: vec![0.0; n],
-        piece_bytes: vec![0.0; n],
-        charges: Vec::new(),
-        acnt,
-    }));
-    if n == 0 {
-        // Nothing to transfer (e.g. every chunk was cached): straight to map.
-        stream_map(sim, d, id, stream, st, node, startup, fetch_start);
-        return;
-    }
-    issue_pieces(
-        sim,
-        d,
-        id,
-        env,
-        &stream,
-        &st,
-        node,
-        startup,
-        fetch_start,
-        depth,
-    );
-}
-
 /// Top up the prefetch window: issue pieces in index order until `depth`
 /// are in flight or none remain. Each completion refills the window (or,
 /// on the last arrival, runs the map).
-#[allow(clippy::too_many_arguments)]
-fn issue_pieces(
-    sim: &mut Sim,
-    d: &SharedDriver,
-    id: AttemptId,
-    env: &MrEnv,
-    stream: &Rc<dyn PieceStream>,
-    st: &Rc<RefCell<StreamState>>,
-    node: NodeId,
-    startup: f64,
-    fetch_start: f64,
-    depth: usize,
-) {
+fn issue_pieces(sim: &mut Sim, f: &Rc<MapFetch>) {
     loop {
         let idx = {
-            let mut s = st.borrow_mut();
-            if s.next_issue >= s.arrivals.len() || s.in_flight >= depth {
+            let mut s = f.st.borrow_mut();
+            if s.next_issue >= s.arrivals.len() || s.in_flight >= f.depth {
                 return;
             }
             let i = s.next_issue;
@@ -1721,28 +1602,27 @@ fn issue_pieces(
             s.in_flight += 1;
             i
         };
-        let (d2, env2, stream2, st2) = (d.clone(), env.clone(), stream.clone(), st.clone());
-        stream.fetch_piece(
-            env,
+        let f2 = f.clone();
+        f.stream.fetch_piece(
+            &f.env,
             sim,
-            node,
+            f.node,
             idx,
             Box::new(move |sim, res| {
-                if !attempt_live(&d2, id) {
+                if !attempt_live(&f2.d, f2.id) {
                     return; // attempt failed or was orphaned mid-stream
                 }
                 let piece = match res {
                     Ok(p) => p,
                     Err(e) => {
-                        // Kills the attempt exactly like a batch fetch
-                        // error; siblings still in flight fall silent on
-                        // the `attempt_live` guard above.
-                        attempt_failed(sim, &d2, id, e);
+                        // Kills the attempt; siblings still in flight fall
+                        // silent on the `attempt_live` guard above.
+                        attempt_failed(sim, &f2.d, f2.id, e);
                         return;
                     }
                 };
                 let all = {
-                    let mut s = st2.borrow_mut();
+                    let mut s = f2.st.borrow_mut();
                     s.in_flight -= 1;
                     s.arrived += 1;
                     s.arrivals[idx] = sim.now().secs();
@@ -1755,20 +1635,9 @@ fn issue_pieces(
                     s.arrived == s.arrivals.len()
                 };
                 if all {
-                    stream_map(sim, &d2, id, stream2, st2, node, startup, fetch_start);
+                    stream_map(sim, &f2);
                 } else {
-                    issue_pieces(
-                        sim,
-                        &d2,
-                        id,
-                        &env2,
-                        &stream2,
-                        &st2,
-                        node,
-                        startup,
-                        fetch_start,
-                        depth,
-                    );
+                    issue_pieces(sim, &f2);
                 }
             }),
         );
@@ -1780,18 +1649,9 @@ fn issue_pieces(
 /// phase records only the *stalled* read seconds (time the compute
 /// pipeline actually waited on bytes); `overlap_saved_s` records how much
 /// shorter the pipelined timeline is than read-then-compute.
-#[allow(clippy::too_many_arguments)]
-fn stream_map(
-    sim: &mut Sim,
-    d: &SharedDriver,
-    id: AttemptId,
-    stream: Rc<dyn PieceStream>,
-    st: Rc<RefCell<StreamState>>,
-    node: NodeId,
-    startup: f64,
-    fetch_start: f64,
-) {
-    let fr = match stream.finish() {
+fn stream_map(sim: &mut Sim, f: &MapFetch) {
+    let (d, id, node) = (&f.d, f.id, f.node);
+    let fr = match f.stream.finish() {
         Ok(fr) => fr,
         Err(e) => {
             attempt_failed(sim, d, id, e);
@@ -1813,7 +1673,7 @@ fn stream_map(
         ctx.charge(phase, *secs);
     }
     for (key, v) in &fr.counters {
-        st.borrow_mut().acnt.add(key, *v);
+        f.st.borrow_mut().acnt.add(key, *v);
     }
     if let Err(e) = (map_fn)(fr.input, &mut ctx) {
         attempt_failed(sim, d, id, e);
@@ -1821,7 +1681,7 @@ fn stream_map(
     }
     let factor = penalty * sim.faults.slow_factor(node.0);
     let (arrivals, piece_charge, piece_bytes, piece_phases, mut acnt) = {
-        let mut s = st.borrow_mut();
+        let mut s = f.st.borrow_mut();
         (
             std::mem::take(&mut s.arrivals),
             std::mem::take(&mut s.piece_charge),
@@ -1840,7 +1700,7 @@ fn stream_map(
     let finish_t = if n == 0 {
         now + tail * factor
     } else {
-        let mut f = fetch_start;
+        let mut fin = f.fetch_start;
         let mut compute_total = 0.0;
         let mut prefetched = 0.0;
         for (i, (&a, (&pb, &pc))) in arrivals
@@ -1855,26 +1715,26 @@ fn stream_map(
             };
             let c = (pc + tail * w) * factor;
             compute_total += c;
-            if a <= f && i > 0 {
+            if a <= fin && i > 0 {
                 prefetched += 1.0; // read fully hidden behind compute
             } else {
-                stall += a - f;
+                stall += a - fin;
             }
-            f = f.max(a) + c;
+            fin = fin.max(a) + c;
         }
-        // `f == fetch_start + stall + compute_total` by construction, and
-        // `f >= now` since every piece's compute follows its arrival. The
-        // saving is vs. the batch shape `now + compute_total`.
-        let saved = (now + compute_total - f).max(0.0);
+        // `fin == fetch_start + stall + compute_total` by construction, and
+        // `fin >= now` since every piece's compute follows its arrival. The
+        // saving is vs. read-then-compute, `now + compute_total`.
+        let saved = (now + compute_total - fin).max(0.0);
         if saved > 0.0 {
             acnt.add(keys::OVERLAP_SAVED_S, saved);
         }
         if prefetched > 0.0 {
             acnt.add(keys::PIECES_PREFETCHED, prefetched);
         }
-        f
+        fin
     };
-    let mut phases = vec![("startup", startup), ("read", stall)];
+    let mut phases = vec![("startup", f.startup), ("read", stall)];
     for (p, s) in &piece_phases {
         phases.push((p, s * factor));
     }
@@ -1883,12 +1743,12 @@ fn stream_map(
     }
     let records = ctx.records;
     let emitted = ctx.emitted;
-    let d4 = d.clone();
+    let d = d.clone();
     sim.after((finish_t - now).max(0.0), move |sim| {
-        if !attempt_live(&d4, id) || node_silent(sim, node) {
+        if !attempt_live(&d, id) || node_silent(sim, node) {
             return;
         }
-        finish_map_compute(sim, &d4, id, phases, emitted, records, acnt)
+        finish_map_compute(sim, &d, id, phases, emitted, records, acnt)
     });
 }
 
@@ -2497,7 +2357,9 @@ fn complete(sim: &mut Sim, d: &SharedDriver) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::input::{hdfs_file_splits, InMemoryFetcher, InputSplit};
+    use crate::input::{
+        hdfs_file_splits, FetchDone, FetchResult, InMemoryFetcher, InputSplit, OneShotFetcher,
+    };
     use pfs::PfsConfig;
     use simnet::{ClusterSpec, CostModel, FaultPlan};
 
@@ -2782,34 +2644,38 @@ mod tests {
         assert_eq!(median(&[5.0, 1.0, 3.0]), 3.0);
     }
 
+    /// A one-shot fetch of 100 bytes that takes `.0` seconds.
+    #[derive(Clone)]
+    struct DelayedFetcher(f64);
+
+    impl OneShotFetcher for DelayedFetcher {
+        fn fetch(&self, _env: &MrEnv, sim: &mut Sim, _node: NodeId, done: FetchDone) {
+            let fr = FetchResult::plain(TaskInput::Bytes(vec![7; 100]));
+            sim.after(self.0, move |sim| done(sim, Ok(fr)));
+        }
+
+        fn describe(&self) -> String {
+            format!("delayed({} s)", self.0)
+        }
+    }
+
     #[test]
-    fn stream_fallback_counted_exactly_once_per_task() {
-        // InMemoryFetcher has no streaming support: with streaming enabled
-        // every map attempt falls back to the batch path and says so.
+    fn one_shot_fetcher_runs_read_then_compute() {
+        // A one-shot fetcher streams as one weightless piece: nothing
+        // overlaps, and the read phase is exactly the fetch time.
+        let mut splits = mem_splits(4, 100);
+        for s in &mut splits {
+            s.fetcher = Rc::new(DelayedFetcher(0.75));
+        }
         let mut c = small_cluster(2, 2);
-        let mut job = word_count_job(mem_splits(4, 100), 1);
-        job.stream = StreamConfig {
-            enabled: true,
-            prefetch_depth: 2,
-        };
-        let r = run_job(&mut c, job).unwrap();
-        assert_eq!(r.counters.get(keys::STREAM_FALLBACKS), 4.0);
-        assert_eq!(r.counters.get(keys::STREAM_FALLBACK_UNSUPPORTED), 4.0);
-        assert_eq!(r.counters.get(keys::STREAM_FALLBACK_PUSHDOWN), 0.0);
-        assert_eq!(
-            r.stream_fallbacks().as_deref(),
-            Some("4 stream fallback(s) (4 unsupported fetcher, 0 pushdown)")
-        );
-        // With streaming off the counter stays silent.
-        let mut c2 = small_cluster(2, 2);
-        let mut job2 = word_count_job(mem_splits(4, 100), 1);
-        job2.stream = StreamConfig {
-            enabled: false,
-            prefetch_depth: 2,
-        };
-        let r2 = run_job(&mut c2, job2).unwrap();
-        assert_eq!(r2.counters.get(keys::STREAM_FALLBACKS), 0.0);
-        assert_eq!(r2.stream_fallbacks(), None);
+        let r = run_job(&mut c, word_count_job(splits, 1)).unwrap();
+        assert_eq!(r.counters.get(keys::MAP_TASKS), 4.0);
+        assert_eq!(r.counters.get(keys::OVERLAP_SAVED_S), 0.0);
+        assert_eq!(r.counters.get(keys::PIECES_PREFETCHED), 0.0);
+        for t in r.tasks.iter().filter(|t| t.kind == TaskKind::Map) {
+            assert!((t.phase("read") - 0.75).abs() < 1e-12, "{t:?}");
+            assert!(t.phase("scan") > 0.0, "{t:?}");
+        }
     }
 
     #[test]

@@ -337,40 +337,14 @@ pub fn decode_tag(tag: &str) -> Option<(String, String, Vec<String>, Vec<usize>)
 }
 
 impl mapreduce::SplitFetcher for TaggedSciFetcher {
-    fn fetch(
-        &self,
-        env: &MrEnv,
-        sim: &mut simnet::Sim,
-        node: simnet::NodeId,
-        done: mapreduce::FetchDone,
-    ) {
-        let tag = encode_tag(&self.inner);
-        self.inner.fetch(
-            env,
-            sim,
-            node,
-            Box::new(move |sim, fr| {
-                done(
-                    sim,
-                    fr.map(|mut fr| {
-                        fr.tag = tag;
-                        fr
-                    }),
-                );
-            }),
-        );
-    }
-
     fn open_stream(
         &self,
         env: &MrEnv,
         sim: &mut simnet::Sim,
         node: simnet::NodeId,
-    ) -> Result<Box<dyn mapreduce::PieceStream>, mapreduce::StreamFallback> {
-        // Forward the inner fetcher's fallback reason unchanged (e.g.
-        // `Pushdown` from the slab reader) so the counter tags stay honest.
-        let inner = self.inner.open_stream(env, sim, node)?;
-        Ok(mapreduce::retag_stream(inner, encode_tag(&self.inner)))
+    ) -> Box<dyn mapreduce::PieceStream> {
+        let inner = self.inner.open_stream(env, sim, node);
+        mapreduce::retag_stream(inner, encode_tag(&self.inner))
     }
 
     fn cache_hints(&self) -> Vec<simnet::ChunkKey> {
@@ -505,8 +479,6 @@ pub struct RJob {
     /// Real raster size; `(0, 0)` derives it from the dataset scale so
     /// real PNG bytes and logical image bytes stay proportional.
     pub raster: (u32, u32),
-    /// Intra-task read/compute overlap policy forwarded to the engine job.
-    pub stream: mapreduce::StreamConfig,
 }
 
 /// Build the slab's coordinate data frame (really, with real columns).
@@ -642,7 +614,7 @@ impl RJob {
                 spill_to_pfs: false,
                 output_to_pfs: false,
                 ft: mapreduce::FtConfig::default(),
-                stream: self.stream,
+                stream: mapreduce::StreamConfig::default(),
                 shuffle: None,
             },
             setup,

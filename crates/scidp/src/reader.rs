@@ -2,12 +2,16 @@
 //! (paper §III-A.3).
 //!
 //! Each map task spawns its own reader; the reader resolves its slab to the
-//! intersecting compressed chunks, issues **one whole-extent read per
-//! chunk** (SciDP "reads the entire block in a single I/O request to
-//! maximize the bandwidth", vs. original Hadoop's 64 KB record reads), all
-//! chunks in parallel, decompresses, and assembles the hyperslab into a
-//! typed array. With many tasks running across nodes, many readers hit the
-//! PFS concurrently — that aggregate parallel read is Figure 6's "SciDP"
+//! intersecting compressed chunks and streams them as pieces, **one
+//! whole-extent read per chunk** (SciDP "reads the entire block in a single
+//! I/O request to maximize the bandwidth", vs. original Hadoop's 64 KB
+//! record reads). The driver keeps a bounded window of chunk reads in
+//! flight and decompresses each chunk as it lands, overlapped with the
+//! reads still in flight; the stream then assembles the hyperslab into a
+//! typed array (or, under pushdown, a filtered frame). Outside the driver,
+//! [`mapreduce::read_whole`] issues every chunk read of a slab at once.
+//! With many tasks running across nodes, many readers hit the PFS
+//! concurrently — that aggregate parallel read is Figure 6's "SciDP"
 //! series.
 
 use std::cell::{Cell, RefCell};
@@ -17,8 +21,7 @@ use std::sync::Arc;
 
 use mapreduce::counters::keys;
 use mapreduce::{
-    FetchDone, FetchPiece, FetchResult, MrEnv, MrError, PieceDone, PieceStream, SplitFetcher,
-    StreamFallback, TaskInput,
+    FetchPiece, FetchResult, MrEnv, MrError, PieceDone, PieceStream, SplitFetcher, TaskInput,
 };
 use rframe::{MatchBound, Predicate};
 use scifmt::hyperslab;
@@ -28,19 +31,8 @@ use simnet::{NodeId, Sim};
 
 use crate::pushdown::{assemble_frame, chunk_col_stats};
 
-/// Events the chunk-integrity machinery recorded during one fetch.
-#[derive(Default)]
-struct IntegrityEvents {
-    verified_bytes: u64,
-    detected: u64,
-    repaired: u64,
-}
-
-/// Completion of one verified chunk-extent read: the compressed frame, or
-/// the error that kills this attempt.
-type FrameDone = Box<dyn FnOnce(&mut Sim, Result<Vec<u8>, MrError>)>;
-
-/// One chunk-extent read with end-to-end verification and repair.
+/// One cache-miss chunk piece of a slab stream: a whole-extent PFS read,
+/// verified end to end, then decoded and cached.
 struct ChunkRead {
     env: MrEnv,
     node: NodeId,
@@ -48,71 +40,123 @@ struct ChunkRead {
     idx: usize,
     offset: u64,
     clen: u64,
+    rlen: u64,
     /// CRC-32C the SNC builder stored for this chunk's compressed frame.
     crc: u32,
-    events: Rc<RefCell<IntegrityEvents>>,
     cache: Arc<ChunkCache>,
     file_key: u64,
-    done: RefCell<Option<FrameDone>>,
+    cluster_admit: Option<bool>,
+    collected: Rc<RefCell<HashMap<usize, Arc<Vec<u8>>>>>,
+    /// Integrity events of this chunk's read(s).
+    events: Cell<hdfs::ReadEvents>,
+    done: RefCell<Option<PieceDone>>,
 }
 
-/// Issue (or re-issue) the timed PFS read of a chunk extent, verifying the
-/// delivered frame against the stored CRC. A mismatch is detected
-/// corruption: the first one triggers exactly one re-read (a transient
-/// flip repairs — the store is clean); a second mismatch quarantines the
-/// chunk and fails the attempt with an `IntegrityError` rather than ever
-/// decoding wrong bytes. Returns the synchronous error of the *initial*
-/// `read_at` call so the caller can stop issuing sibling reads (re-read
-/// errors are routed through `done` instead).
-fn chunk_read_attempt(sim: &mut Sim, st: Rc<ChunkRead>, attempt: u32) -> Result<(), pfs::PfsError> {
-    let st2 = st.clone();
-    pfs::read_at(
-        sim,
-        &st.env.topo,
-        &st.env.pfs,
-        st.node,
-        &st.pfs_path,
-        st.offset as usize,
-        st.clen as usize,
-        move |sim, frame| {
-            if scirng::crc32c(&frame) == st2.crc {
-                {
-                    let mut ev = st2.events.borrow_mut();
-                    ev.verified_bytes += frame.len() as u64;
-                    if attempt > 0 {
-                        ev.repaired += 1;
-                    }
-                }
-                if let Some(d) = st2.done.borrow_mut().take() {
-                    d(sim, Ok(frame));
-                }
+impl ChunkRead {
+    /// Issue (or re-issue) the timed PFS read of the chunk extent.
+    fn issue(self: Rc<Self>, sim: &mut Sim, attempt: u32) {
+        let st = self.clone();
+        let res = pfs::read_at(
+            sim,
+            &self.env.topo,
+            &self.env.pfs,
+            self.node,
+            &self.pfs_path,
+            self.offset as usize,
+            self.clen as usize,
+            move |sim, frame| st.verify(sim, frame, attempt),
+        );
+        if let Err(e) = res {
+            self.fail(sim, MrError::msg(format!("pfs: {e} ({})", self.pfs_path)));
+        }
+    }
+
+    /// Fail the piece (once) from a fresh event.
+    fn fail(&self, sim: &mut Sim, e: MrError) {
+        if let Some(done) = self.done.borrow_mut().take() {
+            sim.after(0.0, move |sim| done(sim, Err(e)));
+        }
+    }
+
+    /// Verify the delivered frame against the stored CRC. A mismatch is
+    /// detected corruption: the first one triggers exactly one re-read (a
+    /// transient flip repairs — the store is clean); a second mismatch
+    /// quarantines the chunk and fails the attempt with an
+    /// `IntegrityError` rather than ever decoding wrong bytes.
+    fn verify(self: Rc<Self>, sim: &mut Sim, frame: Vec<u8>, attempt: u32) {
+        let mut ev = self.events.get();
+        if scirng::crc32c(&frame) == self.crc {
+            ev.verified_bytes += frame.len() as u64;
+            ev.repaired += u64::from(attempt > 0);
+            self.events.set(ev);
+            self.decode(sim, &frame);
+            return;
+        }
+        ev.detected += 1;
+        self.events.set(ev);
+        if attempt == 0 {
+            self.issue(sim, 1);
+            return;
+        }
+        self.cache.quarantine((self.file_key, self.offset));
+        // The cluster tier must never outlive the quarantine: purge any
+        // resident copy on every node and block re-admission.
+        self.env
+            .cluster_cache
+            .quarantine((self.file_key, self.offset));
+        self.fail(
+            sim,
+            MrError::msg(format!(
+                "IntegrityError: chunk {} of {} failed crc32c verification twice; \
+                 chunk quarantined",
+                self.idx, self.pfs_path
+            )),
+        );
+    }
+
+    /// Decode the verified frame, cache it, and deliver the piece with its
+    /// decompress charge and counters.
+    fn decode(&self, sim: &mut Sim, frame: &[u8]) {
+        let Some(done) = self.done.borrow_mut().take() else {
+            return;
+        };
+        // Real decode of the real (verified) chunk bytes, timed for the
+        // Fig. 7 Read/Convert decomposition.
+        // scilint::allow(d-wallclock, reason = "measures real host decompress cost for the Fig. 7 diagnostic; never feeds back into virtual time")
+        let t0 = std::time::Instant::now();
+        let raw = match scifmt::codec::decompress(frame) {
+            Ok(raw) => Arc::new(raw),
+            Err(e) => {
+                let e = MrError::msg(format!("snc chunk {} decode: {e:?}", self.idx));
+                done(sim, Err(e));
                 return;
             }
-            st2.events.borrow_mut().detected += 1;
-            if attempt == 0 {
-                let st3 = st2.clone();
-                if let Err(e) = chunk_read_attempt(sim, st3, 1) {
-                    if let Some(d) = st2.done.borrow_mut().take() {
-                        let e = MrError::msg(format!("pfs: {e} ({})", st2.pfs_path));
-                        sim.after(0.0, move |sim| d(sim, Err(e)));
-                    }
-                }
-            } else {
-                st2.cache.quarantine((st2.file_key, st2.offset));
-                // The cluster tier must never outlive the quarantine: purge
-                // any resident copy on every node and block re-admission.
-                st2.env.cluster_cache.quarantine((st2.file_key, st2.offset));
-                if let Some(d) = st2.done.borrow_mut().take() {
-                    let e = MrError::msg(format!(
-                        "IntegrityError: chunk {} of {} failed crc32c verification twice; \
-                         chunk quarantined",
-                        st2.idx, st2.pfs_path
-                    ));
-                    sim.after(0.0, move |sim| d(sim, Err(e)));
-                }
-            }
-        },
-    )
+        };
+        let decode_s = t0.elapsed().as_secs_f64();
+        let key = (self.file_key, self.offset);
+        self.cache.insert(key, raw.clone());
+        // Placement-gated cluster admission: the decoded (verified) chunk
+        // becomes node-local cluster state for every later job/stage. The
+        // registry itself refuses quarantined or oversized entries and
+        // no-ops while the tier is disabled.
+        if let Some(pinned) = self.cluster_admit {
+            self.env
+                .cluster_cache
+                .insert(self.node, key, raw.clone(), pinned);
+        }
+        self.collected.borrow_mut().insert(self.idx, raw);
+        let mut counters = vec![
+            (keys::CHUNK_CACHE_MISSES, 1.0),
+            (keys::CODEC_DECODE_S, decode_s),
+        ];
+        counters.extend(mapreduce::read_event_counters(self.events.get()));
+        let piece = FetchPiece {
+            bytes: self.rlen,
+            charges: vec![("decompress", sim.cost.decompress(self.rlen as usize))],
+            counters,
+        };
+        done(sim, Ok(piece));
+    }
 }
 
 /// Fetches one scientific dummy block (a variable hyperslab) from the PFS.
@@ -142,347 +186,24 @@ pub struct SciSlabFetcher {
 }
 
 impl SplitFetcher for SciSlabFetcher {
-    fn fetch(&self, env: &MrEnv, sim: &mut Sim, node: NodeId, done: FetchDone) {
+    fn open_stream(&self, env: &MrEnv, sim: &mut Sim, node: NodeId) -> Box<dyn PieceStream> {
         let shape = self.var.shape();
         let ids =
             hyperslab::chunks_for_slab(&shape, &self.var.chunk_shape, &self.start, &self.count);
         let extents = chunk_extents_of(&self.var, self.data_offset);
-        // Consult the node-local cache first: chunks another task of this
-        // job already decompressed need neither the PFS read nor the
-        // decompression charge.
         let file_key = ChunkCache::file_key(&self.pfs_path);
         // Zone-map pruning is only meaningful for real (rank >= 1) arrays;
         // a rank-0 variable keeps the dense path even under pushdown.
-        let plan = if shape.is_empty() {
-            None
-        } else {
-            self.pushdown.clone()
+        let mut pushdown = match &self.pushdown {
+            Some(pred) if !shape.is_empty() => Some(Pushdown {
+                pred: pred.clone(),
+                dims: self.var.dims.iter().map(|d| d.name.clone()).collect(),
+                skipped: HashSet::new(),
+                skipped_bytes: 0,
+            }),
+            _ => None,
         };
         let grid = hyperslab::chunk_grid(&shape, &self.var.chunk_shape);
-        let dims: Vec<String> = self.var.dims.iter().map(|d| d.name.clone()).collect();
-        let collected: Rc<RefCell<HashMap<usize, Arc<Vec<u8>>>>> =
-            Rc::new(RefCell::new(HashMap::new()));
-        let mut needed: Vec<(usize, u64, u64, u64, u32)> = Vec::new();
-        let mut skipped: HashSet<usize> = HashSet::new();
-        let mut skipped_bytes = 0u64;
-        let cluster_on = env.cluster_cache.enabled();
-        let mut cluster_hits = 0usize;
-        let mut cluster_misses = 0usize;
-        // Raw (decompressed) bytes served from the cluster tier — charged
-        // at memory speed — and compressed bytes whose PFS reads that
-        // avoided.
-        let mut cluster_hit_raw = 0u64;
-        let mut cluster_avoided = 0u64;
-        for &i in &ids {
-            let ext = match extents.get(i) {
-                Some(e) => e,
-                None => {
-                    // chunks_for_slab only yields ids inside the chunk
-                    // grid; an out-of-range id means the header and the
-                    // grid disagree — fail the read, don't drop data.
-                    let e =
-                        MrError::msg(format!("chunk id {i} out of range for {}", self.pfs_path));
-                    sim.after(0.0, move |sim| done(sim, Err(e)));
-                    return;
-                }
-            };
-            if self.cache.is_quarantined((file_key, ext.offset)) {
-                // A prior fetch proved this chunk unreadable (two CRC
-                // failures); fail fast instead of re-reading known-bad
-                // data. This stays ahead of zone-map pruning so known-bad
-                // chunks fail identically with and without pushdown.
-                let e = MrError::msg(format!(
-                    "IntegrityError: chunk {i} of {} is quarantined",
-                    self.pfs_path
-                ));
-                sim.after(0.0, move |sim| done(sim, Err(e)));
-                return;
-            }
-            if let Some(pred) = &plan {
-                // Prune before the cache lookup and before any PFS read:
-                // a chunk whose zone map proves the predicate false for
-                // every row contributes nothing to the filtered frame.
-                let coords = hyperslab::unrank(&grid, i);
-                let origin = hyperslab::chunk_origin(&coords, &self.var.chunk_shape);
-                let cdim = hyperslab::chunk_shape_at(&coords, &self.var.chunk_shape, &shape);
-                let elems: usize = cdim.iter().product();
-                if let Some((is, ic)) =
-                    hyperslab::intersect(&origin, &cdim, &self.start, &self.count)
-                {
-                    let stats = |col: &str| {
-                        chunk_col_stats(&dims, &is, &ic, ext.zone.as_ref(), elems as u64, col)
-                    };
-                    if pred.prune(&stats) == MatchBound::None {
-                        skipped.insert(i);
-                        skipped_bytes += ext.clen;
-                        continue;
-                    }
-                }
-            }
-            match self.cache.lookup((file_key, ext.offset)) {
-                Some(raw) => {
-                    collected.borrow_mut().insert(i, raw);
-                }
-                // Job-cache miss: consult the cluster tier. Only residency
-                // on the *executing* node is a hit (remote holders steer
-                // the scheduler, they don't serve data).
-                None => match env.cluster_cache.lookup(node, (file_key, ext.offset)) {
-                    Some(raw) => {
-                        // Seed the job cache so sibling fetchers of this
-                        // job hit without another registry round.
-                        self.cache.insert((file_key, ext.offset), raw.clone());
-                        collected.borrow_mut().insert(i, raw);
-                        cluster_hits += 1;
-                        cluster_hit_raw += ext.rlen;
-                        cluster_avoided += ext.clen;
-                    }
-                    None => {
-                        if cluster_on {
-                            cluster_misses += 1;
-                        }
-                        needed.push((i, ext.offset, ext.clen, ext.rlen, ext.crc));
-                    }
-                },
-            }
-        }
-        let hits = ids.len() - needed.len() - skipped.len() - cluster_hits;
-        let cluster_hit_cost = sim.cost.cache_hit(cluster_hit_raw as usize);
-        // Counter block shared by the all-cached and read paths: the
-        // cluster-tier counters only exist when the tier is live, so every
-        // existing workload's counter set is unchanged.
-        let cluster_counters = move || {
-            let mut c: Vec<(&'static str, f64)> = Vec::new();
-            if cluster_on {
-                c.push((keys::CLUSTER_CACHE_HITS, cluster_hits as f64));
-                c.push((keys::CLUSTER_CACHE_MISSES, cluster_misses as f64));
-                if cluster_avoided > 0 {
-                    c.push((keys::PFS_BYTES_AVOIDED, cluster_avoided as f64));
-                }
-            }
-            c
-        };
-        let misses = needed.len();
-        let var = self.var.clone();
-        let start = self.start.clone();
-        let count = self.count.clone();
-        // Decompression is only paid for the chunks not served from cache.
-        let missed_raw: u64 = needed.iter().map(|&(_, _, _, r, _)| r).sum();
-        let decompress_cost = sim.cost.decompress(missed_raw as usize);
-
-        // Assembly: dense array without pushdown; with pushdown, the
-        // surviving chunks go straight into the slab's coordinate+value
-        // columns and the predicate filter is applied vectorised, with the
-        // pushdown counters rendered alongside.
-        type Assembled = (TaskInput, Vec<(&'static str, f64)>);
-        type AssembleFn = Rc<dyn Fn(&HashMap<usize, Arc<Vec<u8>>>) -> Result<Assembled, MrError>>;
-        let assemble: AssembleFn = {
-            let n_skipped = skipped.len();
-            Rc::new(move |chunks: &HashMap<usize, Arc<Vec<u8>>>| match &plan {
-                Some(pred) => {
-                    let frame = assemble_frame(&var, &dims, &start, &count, chunks, &skipped)
-                        .map_err(|e| MrError::msg(format!("snc pushdown assembly: {e}")))?;
-                    let rows = frame.n_rows();
-                    let mask = pred
-                        .eval_mask(&frame)
-                        .map_err(|e| MrError::msg(format!("pushdown predicate: {e}")))?;
-                    let frame = frame
-                        .filter(&mask)
-                        .map_err(|e| MrError::msg(format!("pushdown filter: {e}")))?;
-                    Ok((
-                        TaskInput::Frame(frame),
-                        vec![
-                            (keys::CHUNKS_SKIPPED_ZONEMAP, n_skipped as f64),
-                            (keys::PUSHDOWN_BYTES_AVOIDED, skipped_bytes as f64),
-                            (keys::VECTORISED_ROWS, rows as f64),
-                        ],
-                    ))
-                }
-                None => assemble_slab(&var, &start, &count, |i| {
-                    chunks
-                        .get(&i)
-                        .map(|a| a.as_slice())
-                        .ok_or_else(|| scifmt::FmtError::NotFound(format!("chunk {i}")))
-                })
-                .map(|a| (TaskInput::Array(a), Vec::new()))
-                .map_err(|e| MrError::msg(format!("snc slab assembly: {e}"))),
-            })
-        };
-
-        if needed.is_empty() {
-            // Everything (possibly nothing) came from the cache — or was
-            // pruned away. Cluster hits pay the node-local memory-copy
-            // charge instead of a PFS read.
-            let result = assemble(&collected.borrow()).map(|(input, extra)| {
-                let mut counters = vec![(keys::CHUNK_CACHE_HITS, hits as f64)];
-                counters.extend(cluster_counters());
-                counters.extend(extra);
-                let mut charges: Vec<(&'static str, f64)> = Vec::new();
-                if cluster_hits > 0 {
-                    charges.push(("cache_read", cluster_hit_cost));
-                }
-                FetchResult {
-                    input,
-                    charges,
-                    counters,
-                    tag: String::new(),
-                }
-            });
-            sim.after(0.0, move |sim| done(sim, result));
-            return;
-        }
-
-        // Fetch the remaining chunk extents in parallel — each behind the
-        // verify/repair machine — then decode + assemble when the last one
-        // lands.
-        let remaining = Rc::new(RefCell::new(needed.len()));
-        let done_cell = Rc::new(RefCell::new(Some(done)));
-        let decode_s = Rc::new(RefCell::new(0.0f64));
-        let events = Rc::new(RefCell::new(IntegrityEvents::default()));
-        let path = Rc::new(self.pfs_path.clone());
-        let cluster_admit = self.cluster_admit;
-        for (idx, offset, clen, _rlen, crc) in needed {
-            let collected = collected.clone();
-            let remaining = remaining.clone();
-            let dc = done_cell.clone();
-            let decode_s = decode_s.clone();
-            let events2 = events.clone();
-            let cache = self.cache.clone();
-            let assemble = assemble.clone();
-            let envc = env.clone();
-            let frame_done: FrameDone = Box::new(move |sim, frame| {
-                let frame = match frame {
-                    Ok(frame) => frame,
-                    Err(e) => {
-                        // Verification exhausted its re-read (or the re-read
-                        // itself failed): kill this attempt once.
-                        if let Some(d) = dc.borrow_mut().take() {
-                            d(sim, Err(e));
-                        }
-                        return;
-                    }
-                };
-                // Real decode of the real (now verified) chunk bytes, timed
-                // for the Fig. 7 Read/Convert decomposition.
-                // scilint::allow(d-wallclock, reason = "measures real host decompress cost for the Fig. 7 diagnostic; never feeds back into virtual time")
-                let t0 = std::time::Instant::now();
-                let raw = match scifmt::codec::decompress(&frame) {
-                    Ok(raw) => raw,
-                    Err(e) => {
-                        if let Some(d) = dc.borrow_mut().take() {
-                            d(
-                                sim,
-                                Err(MrError::msg(format!("snc chunk {idx} decode: {e:?}"))),
-                            );
-                        }
-                        return;
-                    }
-                };
-                *decode_s.borrow_mut() += t0.elapsed().as_secs_f64();
-                let raw = Arc::new(raw);
-                cache.insert((file_key, offset), raw.clone());
-                // Placement-gated cluster admission: the decoded (verified)
-                // chunk becomes node-local for every later job/stage. The
-                // registry itself refuses quarantined or oversized entries
-                // and no-ops while the tier is disabled.
-                if let Some(pinned) = cluster_admit {
-                    envc.cluster_cache
-                        .insert(node, (file_key, offset), raw.clone(), pinned);
-                }
-                collected.borrow_mut().insert(idx, raw);
-                let mut rem = remaining.borrow_mut();
-                *rem -= 1;
-                if *rem > 0 {
-                    return;
-                }
-                drop(rem);
-                // A sibling chunk may have failed this fetch already.
-                let Some(d) = dc.borrow_mut().take() else {
-                    return;
-                };
-                let chunks = std::mem::take(&mut *collected.borrow_mut());
-                let (input, extra) = match assemble(&chunks) {
-                    Ok(out) => out,
-                    Err(e) => {
-                        d(sim, Err(e));
-                        return;
-                    }
-                };
-                let mut counters = vec![
-                    (keys::CHUNK_CACHE_HITS, hits as f64),
-                    (keys::CHUNK_CACHE_MISSES, misses as f64),
-                    (keys::CODEC_DECODE_S, *decode_s.borrow()),
-                ];
-                let ev = events2.borrow();
-                if ev.verified_bytes > 0 {
-                    counters.push((keys::CHECKSUM_VERIFIED_BYTES, ev.verified_bytes as f64));
-                }
-                if ev.detected > 0 {
-                    counters.push((keys::CORRUPTION_DETECTED, ev.detected as f64));
-                }
-                if ev.repaired > 0 {
-                    counters.push((keys::CORRUPTION_REPAIRED, ev.repaired as f64));
-                }
-                drop(ev);
-                counters.extend(cluster_counters());
-                counters.extend(extra);
-                let mut charges = vec![("decompress", decompress_cost)];
-                if cluster_hits > 0 {
-                    charges.push(("cache_read", cluster_hit_cost));
-                }
-                d(
-                    sim,
-                    Ok(FetchResult {
-                        input,
-                        charges,
-                        counters,
-                        tag: String::new(),
-                    }),
-                );
-            });
-            let st = Rc::new(ChunkRead {
-                env: env.clone(),
-                node,
-                pfs_path: path.clone(),
-                idx,
-                offset,
-                clen,
-                crc,
-                events: events.clone(),
-                cache: self.cache.clone(),
-                file_key,
-                done: RefCell::new(Some(frame_done)),
-            });
-            if let Err(e) = chunk_read_attempt(sim, st, 0) {
-                // Injected or genuine PFS error: fail the attempt (once) and
-                // stop issuing the remaining chunk reads.
-                if let Some(d) = done_cell.borrow_mut().take() {
-                    let e = MrError::msg(format!("pfs: {e} ({})", self.pfs_path));
-                    sim.after(0.0, move |sim| d(sim, Err(e)));
-                }
-                return;
-            }
-        }
-    }
-
-    fn open_stream(
-        &self,
-        env: &MrEnv,
-        sim: &mut Sim,
-        node: NodeId,
-    ) -> Result<Box<dyn PieceStream>, StreamFallback> {
-        if self.pushdown.is_some() {
-            // Pushdown delivers a filtered frame, not a dense array; the
-            // piece-streaming overlap path only knows how to assemble the
-            // latter, so fall back to the batch fetch. The typed reason
-            // surfaces in the job's `stream_fallbacks` counters instead of
-            // silently losing the overlap pipeline.
-            return Err(StreamFallback::Pushdown);
-        }
-        let shape = self.var.shape();
-        let ids =
-            hyperslab::chunks_for_slab(&shape, &self.var.chunk_shape, &self.start, &self.count);
-        let extents = chunk_extents_of(&self.var, self.data_offset);
-        let file_key = ChunkCache::file_key(&self.pfs_path);
         let collected: Rc<RefCell<HashMap<usize, Arc<Vec<u8>>>>> =
             Rc::new(RefCell::new(HashMap::new()));
         let mut pieces = Vec::new();
@@ -490,6 +211,9 @@ impl SplitFetcher for SciSlabFetcher {
         let cluster_on = env.cluster_cache.enabled();
         let mut cluster_hits = 0usize;
         let mut cluster_misses = 0usize;
+        // Raw (decompressed) bytes served from the cluster tier — charged
+        // at memory speed — and compressed bytes whose PFS reads that
+        // avoided.
         let mut cluster_hit_raw = 0u64;
         let mut cluster_avoided = 0u64;
         for &i in &ids {
@@ -504,23 +228,50 @@ impl SplitFetcher for SciSlabFetcher {
                 }
             };
             if self.cache.is_quarantined((file_key, ext.offset)) {
-                // Known-bad chunk: deliver it as a piece that fails at
-                // issue time, so the attempt dies with the same typed
-                // error the batch path fast-fails with. Quarantined pieces
-                // sort first so the failure fires before real reads land.
+                // A prior fetch proved this chunk unreadable (two CRC
+                // failures): deliver it as a piece that fails at issue
+                // time instead of re-reading known-bad data. Quarantined
+                // pieces sort first so the failure fires before real reads
+                // land, and the check stays ahead of zone-map pruning so
+                // known-bad chunks fail identically with and without
+                // pushdown.
                 pieces.insert(0, SlabPiece::Quarantined(i));
                 continue;
+            }
+            if let Some(pd) = &mut pushdown {
+                // Prune before the cache lookup and before any PFS read:
+                // a chunk whose zone map proves the predicate false for
+                // every row contributes nothing to the filtered frame.
+                let coords = hyperslab::unrank(&grid, i);
+                let origin = hyperslab::chunk_origin(&coords, &self.var.chunk_shape);
+                let cdim = hyperslab::chunk_shape_at(&coords, &self.var.chunk_shape, &shape);
+                let elems: usize = cdim.iter().product();
+                if let Some((is, ic)) =
+                    hyperslab::intersect(&origin, &cdim, &self.start, &self.count)
+                {
+                    let stats = |col: &str| {
+                        chunk_col_stats(&pd.dims, &is, &ic, ext.zone.as_ref(), elems as u64, col)
+                    };
+                    if pd.pred.prune(&stats) == MatchBound::None {
+                        pd.skipped.insert(i);
+                        pd.skipped_bytes += ext.clen;
+                        continue;
+                    }
+                }
             }
             match self.cache.lookup((file_key, ext.offset)) {
                 Some(raw) => {
                     collected.borrow_mut().insert(i, raw);
                     hits += 1;
                 }
-                // Job-cache miss: a node-local cluster-tier copy turns the
-                // piece into a zero-read open-time hit, exactly like the
-                // batch path.
+                // Job-cache miss: consult the cluster tier. Only residency
+                // on the *executing* node is a hit (remote holders steer
+                // the scheduler, they don't serve data); a hit is a
+                // zero-read open-time piece of the slab.
                 None => match env.cluster_cache.lookup(node, (file_key, ext.offset)) {
                     Some(raw) => {
+                        // Seed the job cache so sibling fetchers of this
+                        // job hit without another registry round.
                         self.cache.insert((file_key, ext.offset), raw.clone());
                         collected.borrow_mut().insert(i, raw);
                         cluster_hits += 1;
@@ -542,25 +293,39 @@ impl SplitFetcher for SciSlabFetcher {
                 },
             }
         }
-        Ok(Box::new(SlabPieceStream {
+        // The cluster-tier counters only exist while the tier is live, so
+        // every other workload's counter set is unchanged. `finish` has no
+        // `Sim` handle, so the memory-copy charge of the cluster hits is
+        // priced here.
+        let mut open_counters = Vec::new();
+        if hits > 0 {
+            open_counters.push((keys::CHUNK_CACHE_HITS, hits as f64));
+        }
+        if cluster_on {
+            open_counters.push((keys::CLUSTER_CACHE_HITS, cluster_hits as f64));
+            open_counters.push((keys::CLUSTER_CACHE_MISSES, cluster_misses as f64));
+            if cluster_avoided > 0 {
+                open_counters.push((keys::PFS_BYTES_AVOIDED, cluster_avoided as f64));
+            }
+        }
+        let mut open_charges = Vec::new();
+        if cluster_hits > 0 {
+            open_charges.push(("cache_read", sim.cost.cache_hit(cluster_hit_raw as usize)));
+        }
+        Box::new(SlabPieceStream {
             pfs_path: Rc::new(self.pfs_path.clone()),
             var: self.var.clone(),
             start: self.start.clone(),
             count: self.count.clone(),
             cache: self.cache.clone(),
             file_key,
-            hits,
-            cluster_on,
             cluster_admit: self.cluster_admit,
-            cluster_hits,
-            cluster_misses,
-            cluster_avoided,
-            // `finish()` has no `Sim` handle, so the memory-copy charge for
-            // the open-time cluster hits is priced here.
-            cluster_hit_cost: sim.cost.cache_hit(cluster_hit_raw as usize),
+            open_counters,
+            open_charges,
+            pushdown,
             pieces,
             collected,
-        }))
+        })
     }
 
     fn cache_hints(&self) -> Vec<simnet::ChunkKey> {
@@ -590,7 +355,7 @@ impl SplitFetcher for SciSlabFetcher {
 #[derive(Clone, Copy)]
 enum SlabPiece {
     /// Chunk quarantined by a prior fetch — fails the attempt at issue
-    /// time with zero PFS traffic, like the batch fast-fail.
+    /// time with zero PFS traffic of its own.
     Quarantined(usize),
     /// A cache-miss chunk: `(idx, offset, clen, rlen, crc)` read through
     /// the verify/repair machine, decoded and cached on arrival.
@@ -604,11 +369,12 @@ enum SlabPiece {
 }
 
 /// Streaming view of a [`SciSlabFetcher`]: one piece per cache-miss chunk
-/// (cache hits are collected at open and cost nothing). Each piece runs
-/// the same CRC verify → re-read repair → quarantine machine as the batch
-/// path, decodes its chunk on arrival (that is the per-piece compute the
-/// driver overlaps with later reads), and [`PieceStream::finish`]
-/// assembles the identical hyperslab.
+/// that survived zone-map pruning (cache hits are collected at open and
+/// cost nothing). Each piece runs the CRC verify → re-read repair →
+/// quarantine machine, decodes its chunk on arrival (that is the per-piece
+/// compute the driver overlaps with later reads), and
+/// [`PieceStream::finish`] assembles the hyperslab — or, under pushdown,
+/// its predicate-filtered frame.
 struct SlabPieceStream {
     pfs_path: Rc<String>,
     var: Arc<VarMeta>,
@@ -616,16 +382,25 @@ struct SlabPieceStream {
     count: Vec<usize>,
     cache: Arc<ChunkCache>,
     file_key: u64,
-    hits: usize,
-    /// Whether the cluster tier was live at open (gates counter emission).
-    cluster_on: bool,
     cluster_admit: Option<bool>,
-    cluster_hits: usize,
-    cluster_misses: usize,
-    cluster_avoided: u64,
-    cluster_hit_cost: f64,
+    /// Counters and charges of the chunks served at open (cache hits),
+    /// reported once by `finish`.
+    open_counters: Vec<(&'static str, f64)>,
+    open_charges: Vec<(&'static str, f64)>,
+    /// Zone-map pruning done at open; `finish` delivers the filtered frame.
+    pushdown: Option<Pushdown>,
     pieces: Vec<SlabPiece>,
     collected: Rc<RefCell<HashMap<usize, Arc<Vec<u8>>>>>,
+}
+
+/// A slab read under a pushdown predicate: which chunks their zone maps
+/// pruned at open, and what the surviving chunks are filtered by.
+struct Pushdown {
+    pred: Arc<Predicate>,
+    dims: Vec<String>,
+    skipped: HashSet<usize>,
+    /// Compressed bytes of the pruned chunks (reads never issued).
+    skipped_bytes: u64,
 }
 
 impl PieceStream for SlabPieceStream {
@@ -657,127 +432,74 @@ impl PieceStream for SlabPieceStream {
                 crc,
             }) => (idx, offset, clen, rlen, crc),
         };
-        // Per-piece event cell: the counters this piece reports are the
-        // integrity deltas of just this chunk's read(s).
-        let events = Rc::new(RefCell::new(IntegrityEvents::default()));
-        let decompress_cost = sim.cost.decompress(rlen as usize);
-        let collected = self.collected.clone();
-        let cache = self.cache.clone();
-        let file_key = self.file_key;
-        let cluster_admit = self.cluster_admit;
-        let envc = env.clone();
-        let done_cell = Rc::new(RefCell::new(Some(done)));
-        let dc = done_cell.clone();
-        let events2 = events.clone();
-        let frame_done: FrameDone = Box::new(move |sim, frame| {
-            let Some(done) = dc.borrow_mut().take() else {
-                return;
-            };
-            let frame = match frame {
-                Ok(frame) => frame,
-                Err(e) => {
-                    done(sim, Err(e));
-                    return;
-                }
-            };
-            // Real decode of the real (verified) chunk bytes, timed for
-            // the Fig. 7 Read/Convert decomposition.
-            // scilint::allow(d-wallclock, reason = "measures real host decompress cost for the Fig. 7 diagnostic; never feeds back into virtual time")
-            let t0 = std::time::Instant::now();
-            let raw = match scifmt::codec::decompress(&frame) {
-                Ok(raw) => raw,
-                Err(e) => {
-                    done(
-                        sim,
-                        Err(MrError::msg(format!("snc chunk {idx} decode: {e:?}"))),
-                    );
-                    return;
-                }
-            };
-            let decode_s = t0.elapsed().as_secs_f64();
-            let raw = Arc::new(raw);
-            cache.insert((file_key, offset), raw.clone());
-            // Same placement-gated admission as the batch path: the piece's
-            // decoded chunk becomes node-local cluster state on arrival.
-            if let Some(pinned) = cluster_admit {
-                envc.cluster_cache
-                    .insert(node, (file_key, offset), raw.clone(), pinned);
-            }
-            collected.borrow_mut().insert(idx, raw);
-            let mut counters = vec![
-                (keys::CHUNK_CACHE_MISSES, 1.0),
-                (keys::CODEC_DECODE_S, decode_s),
-            ];
-            let ev = events2.borrow();
-            if ev.verified_bytes > 0 {
-                counters.push((keys::CHECKSUM_VERIFIED_BYTES, ev.verified_bytes as f64));
-            }
-            if ev.detected > 0 {
-                counters.push((keys::CORRUPTION_DETECTED, ev.detected as f64));
-            }
-            if ev.repaired > 0 {
-                counters.push((keys::CORRUPTION_REPAIRED, ev.repaired as f64));
-            }
-            drop(ev);
-            done(
-                sim,
-                Ok(FetchPiece {
-                    bytes: rlen,
-                    charges: vec![("decompress", decompress_cost)],
-                    counters,
-                }),
-            );
-        });
-        let st = Rc::new(ChunkRead {
+        Rc::new(ChunkRead {
             env: env.clone(),
             node,
             pfs_path: self.pfs_path.clone(),
             idx,
             offset,
             clen,
+            rlen,
             crc,
-            events,
             cache: self.cache.clone(),
-            file_key,
-            done: RefCell::new(Some(frame_done)),
-        });
-        if let Err(e) = chunk_read_attempt(sim, st, 0) {
-            if let Some(done) = done_cell.borrow_mut().take() {
-                let e = MrError::msg(format!("pfs: {e} ({})", self.pfs_path));
-                sim.after(0.0, move |sim| done(sim, Err(e)));
-            }
-        }
+            file_key: self.file_key,
+            cluster_admit: self.cluster_admit,
+            collected: self.collected.clone(),
+            events: Cell::new(hdfs::ReadEvents::default()),
+            done: RefCell::new(Some(done)),
+        })
+        .issue(sim, 0);
     }
 
     fn finish(&self) -> Result<FetchResult, MrError> {
         let chunks = std::mem::take(&mut *self.collected.borrow_mut());
-        let array = assemble_slab(&self.var, &self.start, &self.count, |i| {
-            chunks
-                .get(&i)
-                .map(|a| a.as_slice())
-                .ok_or_else(|| scifmt::FmtError::NotFound(format!("chunk {i}")))
-        })
-        .map_err(|e| MrError::msg(format!("snc slab assembly: {e}")))?;
-        let mut counters = if self.hits > 0 {
-            vec![(keys::CHUNK_CACHE_HITS, self.hits as f64)]
-        } else {
-            Vec::new()
-        };
-        if self.cluster_on {
-            counters.push((keys::CLUSTER_CACHE_HITS, self.cluster_hits as f64));
-            counters.push((keys::CLUSTER_CACHE_MISSES, self.cluster_misses as f64));
-            if self.cluster_avoided > 0 {
-                counters.push((keys::PFS_BYTES_AVOIDED, self.cluster_avoided as f64));
+        // Dense array without pushdown; with pushdown, the surviving chunks
+        // go straight into the slab's coordinate+value columns and the
+        // predicate filter is applied vectorised.
+        let (input, pushdown_counters) = match &self.pushdown {
+            Some(pd) => {
+                let frame = assemble_frame(
+                    &self.var,
+                    &pd.dims,
+                    &self.start,
+                    &self.count,
+                    &chunks,
+                    &pd.skipped,
+                )
+                .map_err(|e| MrError::msg(format!("snc pushdown assembly: {e}")))?;
+                let rows = frame.n_rows();
+                let mask = pd
+                    .pred
+                    .eval_mask(&frame)
+                    .map_err(|e| MrError::msg(format!("pushdown predicate: {e}")))?;
+                let frame = frame
+                    .filter(&mask)
+                    .map_err(|e| MrError::msg(format!("pushdown filter: {e}")))?;
+                (
+                    TaskInput::Frame(frame),
+                    vec![
+                        (keys::CHUNKS_SKIPPED_ZONEMAP, pd.skipped.len() as f64),
+                        (keys::PUSHDOWN_BYTES_AVOIDED, pd.skipped_bytes as f64),
+                        (keys::VECTORISED_ROWS, rows as f64),
+                    ],
+                )
             }
-        }
-        let charges = if self.cluster_hits > 0 {
-            vec![("cache_read", self.cluster_hit_cost)]
-        } else {
-            vec![]
+            None => {
+                let array = assemble_slab(&self.var, &self.start, &self.count, |i| {
+                    chunks
+                        .get(&i)
+                        .map(|a| a.as_slice())
+                        .ok_or_else(|| scifmt::FmtError::NotFound(format!("chunk {i}")))
+                })
+                .map_err(|e| MrError::msg(format!("snc slab assembly: {e}")))?;
+                (TaskInput::Array(array), Vec::new())
+            }
         };
+        let mut counters = self.open_counters.clone();
+        counters.extend(pushdown_counters);
         Ok(FetchResult {
-            input: TaskInput::Array(array),
-            charges,
+            input,
+            charges: self.open_charges.clone(),
             counters,
             tag: String::new(),
         })
@@ -863,6 +585,18 @@ mod tests {
         Cluster::new(spec, pfs_cfg, 1 << 20, 1, cost)
     }
 
+    /// Read a whole slab the way callers outside the driver do.
+    fn fetch(
+        f: &SciSlabFetcher,
+        env: &MrEnv,
+        sim: &mut Sim,
+        node: NodeId,
+        done: mapreduce::FetchDone,
+    ) {
+        let stream = f.open_stream(env, sim, node);
+        mapreduce::read_whole(stream, env, sim, node, done);
+    }
+
     fn stage_var(c: &mut Cluster) -> (Arc<VarMeta>, usize, Array) {
         let data: Vec<f32> = (0..6 * 8 * 5).map(|i| i as f32 * 0.5).collect();
         let full = Array::from_f32(vec![6, 8, 5], data).unwrap();
@@ -942,7 +676,8 @@ mod tests {
             Rc::new(RefCell::new(None));
         let g = got.clone();
         let env = c.env();
-        fetcher.fetch(
+        fetch(
+            &fetcher,
             &env,
             &mut c.sim,
             NodeId(0),
@@ -964,9 +699,9 @@ mod tests {
                 }
             }
         }
-        assert_eq!(charges.len(), 1);
-        assert_eq!(charges[0].0, "decompress");
-        assert!(charges[0].1 > 0.0);
+        // Levels 1..4 span chunks 0 and 1: one decompress charge each.
+        assert_eq!(charges.len(), 2);
+        assert!(charges.iter().all(|&(p, s)| p == "decompress" && s > 0.0));
     }
 
     #[test]
@@ -987,7 +722,7 @@ mod tests {
             cluster_admit: None,
         };
         let env = c.env();
-        fetcher.fetch(&env, &mut c.sim, NodeId(1), Box::new(|_, _| {}));
+        fetch(&fetcher, &env, &mut c.sim, NodeId(1), Box::new(|_, _| {}));
         c.run();
         let admitted = c.sim.net.bytes_admitted;
         // Only the selected chunk's bytes may move (seeks zeroed above).
@@ -1018,7 +753,7 @@ mod tests {
         };
         let env = c.env();
         let first = mk(vec![0, 0, 0], vec![4, 8, 5]); // chunks 0 and 1
-        first.fetch(&env, &mut c.sim, NodeId(0), Box::new(|_, _| {}));
+        fetch(&first, &env, &mut c.sim, NodeId(0), Box::new(|_, _| {}));
         c.run();
         let bytes_after_first = c.sim.net.bytes_admitted;
         assert!(bytes_after_first > 0.0);
@@ -1026,7 +761,8 @@ mod tests {
         let got = Rc::new(RefCell::new(None));
         let g = got.clone();
         let second = mk(vec![1, 0, 0], vec![2, 8, 5]); // same two chunks
-        second.fetch(
+        fetch(
+            &second,
             &env,
             &mut c.sim,
             NodeId(1),
@@ -1066,7 +802,8 @@ mod tests {
         let got = Rc::new(RefCell::new(None));
         let g = got.clone();
         let env = c.env();
-        fetcher.fetch(
+        fetch(
+            &fetcher,
             &env,
             &mut c.sim,
             NodeId(0),
@@ -1076,10 +813,19 @@ mod tests {
         );
         c.run();
         let counters = got.borrow_mut().take().unwrap();
-        assert_eq!(counters[0], (keys::CHUNK_CACHE_HITS, 0.0));
-        assert_eq!(counters[1], (keys::CHUNK_CACHE_MISSES, 3.0));
-        assert_eq!(counters[2].0, keys::CODEC_DECODE_S);
-        assert!(counters[2].1 > 0.0, "real decode time was measured");
+        let total = |key: &str| -> f64 {
+            counters
+                .iter()
+                .filter(|(k, _)| *k == key)
+                .map(|(_, v)| v)
+                .sum()
+        };
+        assert_eq!(total(keys::CHUNK_CACHE_HITS), 0.0);
+        assert_eq!(total(keys::CHUNK_CACHE_MISSES), 3.0);
+        assert!(
+            total(keys::CODEC_DECODE_S) > 0.0,
+            "real decode time was measured"
+        );
     }
 
     #[test]
@@ -1101,7 +847,8 @@ mod tests {
         let got = Rc::new(RefCell::new(None));
         let g = got.clone();
         let env = c.env();
-        fetcher.fetch(
+        fetch(
+            &fetcher,
             &env,
             &mut c.sim,
             NodeId(0),
@@ -1142,7 +889,8 @@ mod tests {
         let got = Rc::new(RefCell::new(None));
         let g = got.clone();
         let env = c.env();
-        fetcher.fetch(
+        fetch(
+            &fetcher,
             &env,
             &mut c.sim,
             NodeId(0),
@@ -1196,7 +944,8 @@ mod tests {
         let got = Rc::new(RefCell::new(None));
         let g = got.clone();
         let env = c.env();
-        mk().fetch(
+        fetch(
+            &mk(),
             &env,
             &mut c.sim,
             NodeId(0),
@@ -1217,7 +966,8 @@ mod tests {
         let bytes_before = c.sim.net.bytes_admitted;
         let got2 = Rc::new(RefCell::new(None));
         let g2 = got2.clone();
-        mk().fetch(
+        fetch(
+            &mk(),
             &env,
             &mut c.sim,
             NodeId(1),

@@ -60,8 +60,6 @@ pub struct WorkflowConfig {
     /// How the input dataset's placement (cluster-cache admission) is
     /// decided — fixed, or from a shared access-count policy.
     pub placement: PlacementSpec,
-    /// Intra-task read/compute overlap policy.
-    pub stream: mapreduce::StreamConfig,
 }
 
 impl WorkflowConfig {
@@ -81,7 +79,6 @@ impl WorkflowConfig {
             cache_bytes: scifmt::snc::DEFAULT_CACHE_BYTES,
             cluster_cache_bytes: 0,
             placement: PlacementSpec::Fixed(Placement::PfsDirect),
-            stream: mapreduce::StreamConfig::default(),
         }
     }
 
@@ -244,7 +241,6 @@ pub fn build_rjob(input_path: &str, cfg: &WorkflowConfig) -> RJob {
         output_dir: cfg.output_dir.clone(),
         logical_image: cfg.logical_image,
         raster: cfg.raster,
-        stream: cfg.stream.clone(),
     }
 }
 
@@ -545,7 +541,6 @@ pub struct StatsDagConfig {
     pub placement: PlacementSpec,
     pub output_dir: String,
     pub ft: mapreduce::FtConfig,
-    pub stream: mapreduce::StreamConfig,
 }
 
 impl StatsDagConfig {
@@ -560,7 +555,6 @@ impl StatsDagConfig {
             placement: PlacementSpec::Fixed(Placement::PfsDirect),
             output_dir: "stats_out".into(),
             ft: mapreduce::FtConfig::default(),
-            stream: mapreduce::StreamConfig::default(),
         }
     }
 }
@@ -688,7 +682,6 @@ pub fn build_stats_dag(
         .reduce_by_key(cfg.var_partitions, rollup);
     let mut dag = mapreduce::DagJob::new("nuwrf-stats", plan, cfg.output_dir.clone());
     dag.ft = cfg.ft.clone();
-    dag.stream = cfg.stream.clone();
     Ok(dag)
 }
 
@@ -856,42 +849,6 @@ mod tests {
             assert!(line.contains("levels=4"), "tiny spec has 4 levels: {line}");
             assert!(line.contains("mean="));
         }
-    }
-
-    #[test]
-    fn pushdown_scan_reports_stream_fallback_once_per_task() {
-        // Pushdown forces the batch path (the streaming pipeline cannot
-        // deliver predicate-filtered frames): with streaming enabled every
-        // map task must record exactly one tagged fallback.
-        let (mut cluster, input) = stage(2);
-        let cfg = SqlScanConfig::new(["QR"], "SELECT * FROM df WHERE value > 0.5");
-        assert!(cfg.pushdown);
-        let r = run_sql_scan(&mut cluster, &input, &cfg).unwrap();
-        let keys = mapreduce::counters::keys::STREAM_FALLBACKS;
-        let maps = r.counters.get(mapreduce::counters::keys::MAP_TASKS);
-        assert!(maps > 0.0);
-        assert_eq!(r.counters.get(keys), maps);
-        assert_eq!(
-            r.counters
-                .get(mapreduce::counters::keys::STREAM_FALLBACK_PUSHDOWN),
-            maps
-        );
-        assert_eq!(
-            r.counters
-                .get(mapreduce::counters::keys::STREAM_FALLBACK_UNSUPPORTED),
-            0.0
-        );
-        assert!(r.stream_fallbacks().is_some());
-
-        // Without pushdown the slab fetcher streams: no fallback at all.
-        let (mut c2, input2) = stage(2);
-        let cfg2 = SqlScanConfig {
-            pushdown: false,
-            ..SqlScanConfig::new(["QR"], "SELECT * FROM df WHERE value > 0.5")
-        };
-        let r2 = run_sql_scan(&mut c2, &input2, &cfg2).unwrap();
-        assert_eq!(r2.counters.get(keys), 0.0);
-        assert_eq!(r2.stream_fallbacks(), None);
     }
 
     #[test]

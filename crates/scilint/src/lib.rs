@@ -67,7 +67,8 @@ pub struct Config {
     /// Rel path of the counter-key declarations.
     pub counters_file: String,
     /// Hot entry points for `g-panic-reachable`, as `crate::fn` or
-    /// `crate::Type::fn` specs.
+    /// `crate::Type::fn` specs (a spec naming no workspace fn checks
+    /// nothing — `tests/workspace.rs` keeps the defaults resolvable).
     pub hot_entries: Vec<String>,
 }
 
@@ -88,12 +89,21 @@ impl Config {
                 "mapreduce::run_job",
                 "mapreduce::submit_dag",
                 "mapreduce::run_dag",
+                // The fetch path: every split is read through a piece
+                // stream — the driver's, or `read_whole` outside it.
+                "mapreduce::read_whole",
+                "mapreduce::OnePieceStream::fetch_piece",
+                "mapreduce::OnePieceStream::finish",
                 "mapreduce::HdfsBlockFetcher::fetch",
-                "mapreduce::FlatPfsFetcher::fetch",
+                "mapreduce::FlatPfsFetcher::open_stream",
+                "mapreduce::FlatPieceStream::fetch_piece",
+                "mapreduce::FlatPieceStream::finish",
                 "scidp::run_scidp",
                 "scidp::run_sql_scan",
                 "scidp::run_stats_dag",
-                "scidp::SciSlabFetcher::fetch",
+                "scidp::SciSlabFetcher::open_stream",
+                "scidp::SlabPieceStream::fetch_piece",
+                "scidp::SlabPieceStream::finish",
                 "simnet::ClusterCache::lookup",
                 "simnet::ClusterCache::insert",
                 "simnet::ClusterCache::invalidate_node",

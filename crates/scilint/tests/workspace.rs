@@ -1,7 +1,7 @@
 //! Tier-1 guard: the workspace itself must lint clean under `--deny all`
-//! with the committed baseline, the hot paths must carry no baselined
-//! P-rule debt, and the CLI must exit nonzero with rule ids in `--json`
-//! when violations exist.
+//! with the committed baseline, every default hot entry must name a real
+//! fn, the hot paths must carry no baselined P-rule debt, and the CLI must
+//! exit nonzero with rule ids in `--json` when violations exist.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -27,6 +27,28 @@ fn workspace_lints_clean_under_deny_all() {
         String::from_utf8_lossy(&out.stdout),
         String::from_utf8_lossy(&out.stderr)
     );
+}
+
+#[test]
+fn every_default_hot_entry_names_a_workspace_fn() {
+    // `g-panic-reachable` silently checks nothing for a spec that matches
+    // no definition, so a renamed or deleted entry point must fail here.
+    let root = repo_root();
+    let cfg = scilint::Config::default_for_root(&root);
+    let files = scilint::walk_workspace(&root).expect("walk workspace");
+    let lexed: Vec<_> = files.iter().map(|f| scilint::lexer::lex(&f.src)).collect();
+    let lexed_files: Vec<_> = files
+        .iter()
+        .zip(&lexed)
+        .map(|(file, lexed)| scilint::cross::LexedFile { file, lexed })
+        .collect();
+    let g = scilint::graph::build(&lexed_files, &cfg);
+    for spec in &cfg.hot_entries {
+        assert!(
+            g.defs.iter().any(|d| !d.is_test && d.path() == *spec),
+            "hot entry `{spec}` names no non-test fn in the workspace"
+        );
+    }
 }
 
 #[test]

@@ -51,7 +51,6 @@ fn level_means(cluster: &mut mapreduce::Cluster, uri: &str) -> Vec<(i64, f64)> {
         output_dir: format!("cmip_out/{}", uri.replace([':', '/'], "_")),
         logical_image: (1200, 1200),
         raster: (16, 16),
-        stream: Default::default(),
     };
     let env = cluster.env();
     let scale = cluster.sim.cost.scale;

@@ -88,7 +88,6 @@ fn main() {
         output_dir: "sql_out".into(),
         logical_image: (1200, 1200),
         raster: (16, 16),
-        stream: Default::default(),
     };
     let env2 = cluster.env();
     let scale = cluster.sim.cost.scale;

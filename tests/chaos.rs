@@ -108,20 +108,7 @@ fn run_once(plan: FaultPlan) -> (Output, BTreeMap<String, f64>) {
     let r = run_job(&mut c, chaos_job()).expect("chaos variant must complete");
     let counters: BTreeMap<String, f64> =
         r.counters.iter().map(|(k, v)| (k.to_string(), v)).collect();
-    let h = c.hdfs.borrow();
-    let mut files = h.namenode.list_files_recursive("out").unwrap();
-    files.sort_by(|a, b| a.path.cmp(&b.path));
-    let output = files
-        .iter()
-        .map(|f| {
-            let mut data = Vec::new();
-            for b in h.namenode.blocks(&f.path).unwrap() {
-                data.extend_from_slice(&h.datanodes.get(b.locations()[0], b.id).unwrap());
-            }
-            (f.path.clone(), data)
-        })
-        .collect();
-    (output, counters)
+    (c.read_hdfs_dir("out").unwrap(), counters)
 }
 
 /// `(name, plan)` for the three fault variants of one seed.

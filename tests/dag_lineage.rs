@@ -111,21 +111,9 @@ fn pipeline_plan(splits: Vec<InputSplit>) -> Dataset {
 
 /// Non-empty committed files under `dir`, as (path, bytes) sorted by path.
 fn read_output(c: &Cluster, dir: &str) -> Vec<(String, Vec<u8>)> {
-    let h = c.hdfs.borrow();
-    let mut files = h.namenode.list_files_recursive(dir).unwrap();
-    files.retain(|f| !f.path.contains("/_"));
-    files.sort_by(|a, b| a.path.cmp(&b.path));
+    let mut files = c.read_hdfs_dir(dir).unwrap();
+    files.retain(|(path, data)| !path.contains("/_") && !data.is_empty());
     files
-        .iter()
-        .map(|f| {
-            let mut data = Vec::new();
-            for b in h.namenode.blocks(&f.path).unwrap() {
-                data.extend_from_slice(&h.datanodes.get(b.locations()[0], b.id).unwrap());
-            }
-            (f.path.clone(), data)
-        })
-        .filter(|(_, d)| !d.is_empty())
-        .collect()
 }
 
 /// File contents only, for comparisons across different naming schemes

@@ -97,7 +97,6 @@ fn grouped_slab_content_matches_direct_read() {
         output_dir: "gsum_out".into(),
         logical_image: (10, 10),
         raster: (8, 8),
-        stream: Default::default(),
     };
     let env = cluster.env();
     let (job, setup) = rjob.into_job(&env, 1.0).unwrap();

@@ -51,7 +51,6 @@ fn scidp_slabs_equal_direct_reads() {
             output_dir: "sums_out".into(),
             logical_image: (10, 10),
             raster: (8, 8),
-            stream: Default::default(),
         };
         let env = cluster.env();
         let (job, _) = rjob.into_job(&env, 1.0).unwrap();
@@ -98,21 +97,7 @@ fn single_byte_flip_is_detected_or_harmless_never_wrong() {
         let ds = stage_nuwrf(&mut cluster, &spec, "nuwrf");
         (cluster, ds)
     };
-    let read_output = |c: &Cluster| -> Vec<(String, Vec<u8>)> {
-        let h = c.hdfs.borrow();
-        let mut files = h.namenode.list_files_recursive("scidp_out").unwrap();
-        files.sort_by(|a, b| a.path.cmp(&b.path));
-        files
-            .iter()
-            .map(|f| {
-                let mut data = Vec::new();
-                for b in h.namenode.blocks(&f.path).unwrap() {
-                    data.extend_from_slice(&h.datanodes.get(b.locations()[0], b.id).unwrap());
-                }
-                (f.path.clone(), data)
-            })
-            .collect()
-    };
+    let read_output = |c: &Cluster| c.read_hdfs_dir("scidp_out").unwrap();
 
     // Clean reference run.
     let (mut clean, ds) = world();
