@@ -2272,31 +2272,43 @@ pub(crate) fn serialize_kvs(kvs: &[Kv]) -> Vec<u8> {
         out.push(b'\t');
         match &kv.value {
             Payload::Bytes(b) => out.extend_from_slice(b),
-            Payload::Frame(f) => {
-                // Frames persist as CSV (what rhdfs writes back).
-                let mut text = String::new();
-                for (i, n) in f.names().iter().enumerate() {
-                    if i > 0 {
-                        text.push(',');
-                    }
-                    text.push_str(n);
-                }
-                text.push('\n');
-                for row in 0..f.n_rows() {
-                    for c in 0..f.n_cols() {
-                        if c > 0 {
-                            text.push(',');
-                        }
-                        text.push_str(&f.column_at(c).value(row).to_string());
-                    }
-                    text.push('\n');
-                }
-                out.extend_from_slice(text.as_bytes());
-            }
+            Payload::Frame(f) => write_frame_csv(f, &mut out),
         }
         out.push(b'\n');
     }
     out
+}
+
+/// Append `f` as CSV (what rhdfs writes back): a header line, then one
+/// line per row. Each cell is written straight into `out` with the
+/// `Display` formatting of [`rframe::Value`], without building a `Value`
+/// or a `String` per cell.
+fn write_frame_csv(f: &rframe::DataFrame, out: &mut Vec<u8>) {
+    use std::io::Write;
+    for (i, n) in f.names().iter().enumerate() {
+        if i > 0 {
+            out.push(b',');
+        }
+        out.extend_from_slice(n.as_bytes());
+    }
+    out.push(b'\n');
+    let cols: Vec<&rframe::Column> = (0..f.n_cols()).map(|c| f.column_at(c)).collect();
+    for row in 0..f.n_rows() {
+        for (c, col) in cols.iter().enumerate() {
+            if c > 0 {
+                out.push(b',');
+            }
+            let written = match col {
+                rframe::Column::F64(v) => v.get(row).map(|x| write!(out, "{x}")),
+                rframe::Column::I64(v) => v.get(row).map(|x| write!(out, "{x}")),
+                rframe::Column::Str(v) => v.get(row).map(|s| out.write_all(s.as_bytes())),
+            };
+            // Every column has `n_rows` cells, and writing into a
+            // `Vec<u8>` cannot fail.
+            debug_assert!(matches!(written, Some(Ok(()))));
+        }
+        out.push(b'\n');
+    }
 }
 
 fn fail_job(sim: &mut Sim, d: &SharedDriver, e: MrError) {
@@ -2428,6 +2440,76 @@ mod tests {
             stream: StreamConfig::default(),
             shuffle: None,
         }
+    }
+
+    #[test]
+    fn frame_csv_bytes_match_value_display() {
+        use rframe::{Column, DataFrame};
+        let df = DataFrame::new()
+            .with_column(
+                "f",
+                Column::F64(vec![
+                    f64::NAN,
+                    f64::INFINITY,
+                    f64::NEG_INFINITY,
+                    -0.0,
+                    1e-7,
+                    2.0,
+                    0.1 + 0.2,
+                ]),
+            )
+            .unwrap()
+            .with_column("i", Column::I64(vec![i64::MIN, i64::MAX, 0, -1, 1, 42, -7]))
+            .unwrap()
+            .with_column(
+                "s",
+                Column::Str(
+                    ["", "a b", "x,y", "é", "-0", "NaN", "z"]
+                        .map(String::from)
+                        .to_vec(),
+                ),
+            )
+            .unwrap();
+        let kvs = vec![
+            Kv {
+                key: "k1".into(),
+                value: Payload::Frame(df.clone()),
+            },
+            Kv {
+                key: "k2".into(),
+                value: Payload::Bytes(b"raw".to_vec()),
+            },
+            Kv {
+                key: "k3".into(),
+                value: Payload::Frame(DataFrame::new()),
+            },
+        ];
+        // The per-cell `Value::to_string` rendering the CSV format is
+        // defined by.
+        let mut want = Vec::new();
+        for kv in &kvs {
+            want.extend_from_slice(kv.key.as_bytes());
+            want.push(b'\t');
+            match &kv.value {
+                Payload::Bytes(b) => want.extend_from_slice(b),
+                Payload::Frame(f) => {
+                    want.extend_from_slice(f.names().join(",").as_bytes());
+                    want.push(b'\n');
+                    for row in 0..f.n_rows() {
+                        let cells: Vec<String> = (0..f.n_cols())
+                            .map(|c| f.column_at(c).value(row).to_string())
+                            .collect();
+                        want.extend_from_slice(cells.join(",").as_bytes());
+                        want.push(b'\n');
+                    }
+                }
+            }
+            want.push(b'\n');
+        }
+        let text = String::from_utf8(serialize_kvs(&kvs)).unwrap();
+        assert_eq!(text, String::from_utf8(want).unwrap());
+        assert!(text.contains("NaN,-9223372036854775808,\n"), "{text}");
+        assert!(text.contains("-inf,0,x,y\n") && text.contains("0.0000001,1,-0\n"));
     }
 
     #[test]

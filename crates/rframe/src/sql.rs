@@ -14,6 +14,7 @@
 //! with arithmetic (`+ - * /`), comparisons, `AND/OR/NOT`, and the
 //! aggregates `COUNT/SUM/AVG/MIN/MAX`.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 
 use crate::columnar::{CmpOp, ColumnFold, Lit, Predicate};
@@ -710,9 +711,10 @@ fn execute(q: &Query, env: &HashMap<&str, &DataFrame>) -> Result<DataFrame> {
     // WHERE. Column-vs-literal clauses take the vectorised columnar path;
     // everything else evaluates row at a time. The guard on `n_rows` keeps
     // error behaviour identical: the row loop never touches columns of an
-    // empty frame, so neither may the mask evaluator.
-    let filtered = if let Some(pred) = &q.where_ {
-        match expr_to_predicate(pred) {
+    // empty frame, so neither may the mask evaluator. Without a WHERE the
+    // source frame is borrowed, not copied.
+    let filtered: Cow<'_, DataFrame> = if let Some(pred) = &q.where_ {
+        Cow::Owned(match expr_to_predicate(pred) {
             Some(p) if df.n_rows() > 0 => df.filter(&p.eval_mask(df)?)?,
             _ => {
                 let mut mask = Vec::with_capacity(df.n_rows());
@@ -721,9 +723,9 @@ fn execute(q: &Query, env: &HashMap<&str, &DataFrame>) -> Result<DataFrame> {
                 }
                 df.filter(&mask)?
             }
-        }
+        })
     } else {
-        df.clone()
+        Cow::Borrowed(df)
     };
 
     let has_agg = q.items.iter().any(|i| matches!(i, Item::Agg { .. }));
@@ -733,12 +735,12 @@ fn execute(q: &Query, env: &HashMap<&str, &DataFrame>) -> Result<DataFrame> {
         // ordering by non-selected columns works (sqldf semantics for the
         // paper's top-k queries).
         let ordered = if let Some((col, desc)) = &q.order_by {
-            filtered.sort_by(col, *desc)?
+            Cow::Owned(filtered.sort_by(col, *desc)?)
         } else {
             filtered
         };
         let limited = if let Some(n) = q.limit {
-            ordered.head(n)
+            Cow::Owned(ordered.head(n))
         } else {
             ordered
         };
@@ -1037,6 +1039,53 @@ mod tests {
         .unwrap();
         assert_eq!(out.f64_column("value").unwrap(), &vec![8.0, 8.0]);
         assert_eq!(out.n_rows(), 2);
+    }
+
+    #[test]
+    fn queries_without_where_match_the_filtered_path() {
+        // Without a WHERE the source frame is borrowed; with a WHERE that
+        // keeps every row it is filtered into a copy. Both must agree.
+        let df = sample();
+        let env = env_with(&df);
+        let projections = ["*", "lev, tag", "value * 2 AS y"].map(|i| (i, "", "value", "lev"));
+        let aggregate = (
+            "tag, COUNT(*) AS n, SUM(value) AS s",
+            "GROUP BY tag",
+            "s",
+            "n",
+        );
+        for (items, group, by1, by2) in projections.into_iter().chain([aggregate]) {
+            for tail in [
+                String::new(),
+                format!("ORDER BY {by1} DESC"),
+                "LIMIT 3".to_string(),
+                format!("ORDER BY {by2} DESC LIMIT 2"),
+            ] {
+                let plain = format!("SELECT {items} FROM df {group} {tail}");
+                let filtered = format!("SELECT {items} FROM df WHERE lev >= 0 {group} {tail}");
+                assert_eq!(
+                    sqldf(&plain, &env).unwrap(),
+                    sqldf(&filtered, &env).unwrap(),
+                    "{plain}"
+                );
+            }
+        }
+        // Explicit results, and the source frame is left as it was.
+        let out = sqldf("SELECT * FROM df ORDER BY value DESC", &env).unwrap();
+        assert_eq!(
+            out.f64_column("value").unwrap(),
+            &vec![8.0, 8.0, 5.0, 3.0, 1.0]
+        );
+        assert_eq!(
+            out.column("lev").unwrap(),
+            &Column::I64(vec![1, 2, 0, 0, 1])
+        );
+        let out = sqldf("SELECT lev, tag FROM df LIMIT 2", &env).unwrap();
+        assert_eq!(out, df.select(&["lev", "tag"]).unwrap().head(2));
+        let out = sqldf("SELECT COUNT(*) AS n, MAX(value) AS hi FROM df", &env).unwrap();
+        assert_eq!(out.f64_column("n").unwrap(), &vec![5.0]);
+        assert_eq!(out.f64_column("hi").unwrap(), &vec![8.0]);
+        assert_eq!(df, sample());
     }
 
     #[test]

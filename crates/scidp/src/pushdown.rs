@@ -80,39 +80,35 @@ fn decode_range_f64(
         return false;
     };
     match dtype {
-        DType::F32 => {
-            for c in bytes.chunks_exact(4) {
-                if let Ok(b) = <[u8; 4]>::try_from(c) {
-                    out.push(f32::from_le_bytes(b) as f64);
-                }
-            }
-        }
-        DType::F64 => {
-            for c in bytes.chunks_exact(8) {
-                if let Ok(b) = <[u8; 8]>::try_from(c) {
-                    out.push(f64::from_le_bytes(b));
-                }
-            }
-        }
-        DType::I32 => {
-            for c in bytes.chunks_exact(4) {
-                if let Ok(b) = <[u8; 4]>::try_from(c) {
-                    out.push(i32::from_le_bytes(b) as f64);
-                }
-            }
-        }
-        DType::I64 => {
-            for c in bytes.chunks_exact(8) {
-                if let Ok(b) = <[u8; 8]>::try_from(c) {
-                    out.push(i64::from_le_bytes(b) as f64);
-                }
-            }
-        }
-        DType::U8 => {
-            for &b in bytes {
-                out.push(b as f64);
-            }
-        }
+        DType::F32 => out.extend(
+            bytes
+                .as_chunks::<4>()
+                .0
+                .iter()
+                .map(|&b| f32::from_le_bytes(b) as f64),
+        ),
+        DType::F64 => out.extend(
+            bytes
+                .as_chunks::<8>()
+                .0
+                .iter()
+                .map(|&b| f64::from_le_bytes(b)),
+        ),
+        DType::I32 => out.extend(
+            bytes
+                .as_chunks::<4>()
+                .0
+                .iter()
+                .map(|&b| i32::from_le_bytes(b) as f64),
+        ),
+        DType::I64 => out.extend(
+            bytes
+                .as_chunks::<8>()
+                .0
+                .iter()
+                .map(|&b| i64::from_le_bytes(b) as f64),
+        ),
+        DType::U8 => out.extend(bytes.iter().map(|&b| b as f64)),
     }
     true
 }
@@ -146,8 +142,11 @@ pub fn assemble_frame(
     }
     let cshape = &var.chunk_shape;
     let grid = hyperslab::chunk_grid(&shape, cshape);
-    let mut coord_cols: Vec<Vec<i64>> = vec![Vec::new(); rank];
-    let mut values: Vec<f64> = Vec::new();
+    // Size every column once for the whole slab (an upper bound when
+    // chunks are skipped) instead of growing it by doubling.
+    let n: usize = count.iter().product();
+    let mut coord_cols: Vec<Vec<i64>> = (0..rank).map(|_| Vec::with_capacity(n)).collect();
+    let mut values: Vec<f64> = Vec::with_capacity(n);
 
     // Innermost-dimension extents (rank >= 1 guaranteed above).
     let in_start = start.last().copied().unwrap_or(0);

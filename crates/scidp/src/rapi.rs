@@ -490,26 +490,40 @@ pub fn slab_to_frame(
     origin: &[usize],
     array: &Array,
 ) -> Result<DataFrame, MrError> {
-    let shape = array.shape().to_vec();
+    let shape = array.shape();
     let n = array.len();
-    let rank = shape.len();
-    let mut coord_cols: Vec<Vec<i64>> = vec![Vec::with_capacity(n); rank];
-    let mut coords = vec![0usize; rank];
-    let mut values = Vec::with_capacity(n);
-    for i in 0..n {
-        for ((col, &c), &o) in coord_cols.iter_mut().zip(&coords).zip(origin) {
-            col.push((o + c) as i64);
-        }
-        values.push(array.get_f64(i));
-        // Row-major odometer: bump the innermost dimension, carry left.
-        for (c, &s) in coords.iter_mut().zip(&shape).rev() {
-            *c += 1;
-            if *c < s {
+    // Every column is sized once. Rows come in spans of the innermost
+    // dimension: outer coordinates are constant repeats over a span, the
+    // inner one a ramp, so no per-cell odometer step is taken.
+    let mut coord_cols: Vec<Vec<i64>> = shape.iter().map(|_| Vec::with_capacity(n)).collect();
+    if let Some((&inner, outer)) = shape.split_last().filter(|_| n > 0) {
+        let mut oc = vec![0usize; outer.len()];
+        loop {
+            // Columns past `origin` stay short, so the frame build below
+            // reports the rank mismatch.
+            let offsets = oc.iter().map(Some).chain(std::iter::once(None));
+            for ((col, &o), off) in coord_cols.iter_mut().zip(origin).zip(offsets) {
+                match off {
+                    Some(&c) => col.extend(std::iter::repeat_n((o + c) as i64, inner)),
+                    None => col.extend((o..o + inner).map(|x| x as i64)),
+                }
+            }
+            // Row-major odometer over the outer dimensions, carry left.
+            let mut done = true;
+            for (c, &s) in oc.iter_mut().zip(outer).rev() {
+                *c += 1;
+                if *c < s {
+                    done = false;
+                    break;
+                }
+                *c = 0;
+            }
+            if done {
                 break;
             }
-            *c = 0;
         }
     }
+    let values = array.to_f64_vec();
     let mut df = DataFrame::new();
     for (name, col) in dims.iter().zip(coord_cols) {
         df = df
@@ -678,6 +692,89 @@ mod tests {
         assert_eq!(df.column("lev").unwrap().value(0), rframe::Value::I64(10));
         assert_eq!(df.column("lon").unwrap().value(5), rframe::Value::I64(22));
         assert_eq!(df.f64_column("value").unwrap()[4], 5.0);
+    }
+
+    /// Row-at-a-time reference for `slab_to_frame`: one odometer step and
+    /// one `get_f64` per cell.
+    fn slab_to_frame_model(dims: &[String], origin: &[usize], array: &Array) -> DataFrame {
+        let shape = array.shape().to_vec();
+        let mut coord_cols: Vec<Vec<i64>> = vec![Vec::new(); shape.len()];
+        let mut coords = vec![0usize; shape.len()];
+        let mut values = Vec::new();
+        for i in 0..array.len() {
+            for ((col, &c), &o) in coord_cols.iter_mut().zip(&coords).zip(origin) {
+                col.push((o + c) as i64);
+            }
+            values.push(array.get_f64(i));
+            for (c, &s) in coords.iter_mut().zip(&shape).rev() {
+                *c += 1;
+                if *c < s {
+                    break;
+                }
+                *c = 0;
+            }
+        }
+        let mut df = DataFrame::new();
+        for (name, col) in dims.iter().zip(coord_cols) {
+            df = df.with_column(name.clone(), Column::I64(col)).unwrap();
+        }
+        df.with_column("value", Column::F64(values)).unwrap()
+    }
+
+    #[test]
+    fn span_built_slab_frame_matches_row_model() {
+        use scifmt::ArrayData;
+        let shapes: [&[usize]; 8] = [
+            &[7],
+            &[1],
+            &[3, 5],
+            &[4, 1],
+            &[2, 3, 4],
+            &[1, 6, 1],
+            &[2, 2, 3, 5],
+            &[3, 1, 2, 2],
+        ];
+        for shape in shapes {
+            let n: usize = shape.iter().product();
+            let dims: Vec<String> = (0..shape.len()).map(|d| format!("d{d}")).collect();
+            let origin: Vec<usize> = (0..shape.len()).map(|d| 3 * d + 1).collect();
+            let f = |i: usize| i as f64 * 0.75 - 4.0;
+            let datas = [
+                ArrayData::F32((0..n).map(|i| f(i) as f32).collect()),
+                ArrayData::F64((0..n).map(|i| if i == 1 { -0.0 } else { f(i) }).collect()),
+                // Integers past f32's 24-bit mantissa: a narrowing
+                // conversion would show.
+                ArrayData::I32((0..n).map(|i| i as i32 * 16_777_259 - 5).collect()),
+                ArrayData::I64((0..n).map(|i| (i as i64 - 3) * 1_000_000_007 + 1).collect()),
+                ArrayData::U8((0..n).map(|i| (i * 37 % 256) as u8).collect()),
+            ];
+            for data in datas {
+                let dtype = data.dtype();
+                let a = Array::new(shape.to_vec(), data).unwrap();
+                let got = slab_to_frame(&dims, &origin, &a).unwrap();
+                let want = slab_to_frame_model(&dims, &origin, &a);
+                assert_eq!(
+                    format!("{got:?}"),
+                    format!("{want:?}"),
+                    "{shape:?} {dtype:?}"
+                );
+            }
+        }
+        // Rank 0 is one value row; an empty dimension is an empty frame.
+        let scalar = Array::from_f64(vec![], vec![2.5]).unwrap();
+        assert_eq!(
+            slab_to_frame(&[], &[], &scalar).unwrap(),
+            slab_to_frame_model(&[], &[], &scalar)
+        );
+        let empty = Array::from_f32(vec![3, 0, 2], vec![]).unwrap();
+        let dims: Vec<String> = ["a", "b", "c"].map(String::from).to_vec();
+        let got = slab_to_frame(&dims, &[1, 2, 3], &empty).unwrap();
+        assert_eq!(got, slab_to_frame_model(&dims, &[1, 2, 3], &empty));
+        assert_eq!(got.n_rows(), 0);
+        // An origin shorter than the rank is still an error.
+        let a = Array::from_f32(vec![2, 2], vec![1.0; 4]).unwrap();
+        let dims: Vec<String> = ["a", "b"].map(String::from).to_vec();
+        assert!(slab_to_frame(&dims, &[0], &a).is_err());
     }
 
     #[test]

@@ -206,6 +206,41 @@ impl SplitFetcher for SciSlabFetcher {
         let grid = hyperslab::chunk_grid(&shape, &self.var.chunk_shape);
         let collected: Rc<RefCell<HashMap<usize, Arc<Vec<u8>>>>> =
             Rc::new(RefCell::new(HashMap::new()));
+        let stream = |pieces, pushdown, open_counters, open_charges| {
+            Box::new(SlabPieceStream {
+                pfs_path: Rc::new(self.pfs_path.clone()),
+                var: self.var.clone(),
+                start: self.start.clone(),
+                count: self.count.clone(),
+                cache: self.cache.clone(),
+                file_key,
+                cluster_admit: self.cluster_admit,
+                open_counters,
+                open_charges,
+                pushdown,
+                pieces,
+                collected: collected.clone(),
+            })
+        };
+        // A slab holding a chunk that a prior fetch proved unreadable (two
+        // CRC failures), or one the header has no extent for (cannot come
+        // out of chunks_for_slab), is doomed: stream that one failing piece
+        // and nothing else, so the attempt fails at issue time without
+        // moving a byte. The check runs before zone-map pruning, so
+        // known-bad chunks fail identically with and without pushdown.
+        let doomed = ids.iter().copied().find(|&i| {
+            extents
+                .get(i)
+                .is_none_or(|e| self.cache.is_quarantined((file_key, e.offset)))
+        });
+        if let Some(i) = doomed {
+            return stream(
+                vec![SlabPiece::Quarantined(i)],
+                None,
+                Vec::new(),
+                Vec::new(),
+            );
+        }
         let mut pieces = Vec::new();
         let mut hits = 0usize;
         let cluster_on = env.cluster_cache.enabled();
@@ -217,27 +252,10 @@ impl SplitFetcher for SciSlabFetcher {
         let mut cluster_hit_raw = 0u64;
         let mut cluster_avoided = 0u64;
         for &i in &ids {
-            let ext = match extents.get(i) {
-                Some(e) => e,
-                None => {
-                    // Header/grid disagreement (cannot come out of
-                    // chunks_for_slab): fail the attempt at issue time
-                    // like a quarantined chunk rather than drop data.
-                    pieces.insert(0, SlabPiece::Quarantined(i));
-                    continue;
-                }
-            };
-            if self.cache.is_quarantined((file_key, ext.offset)) {
-                // A prior fetch proved this chunk unreadable (two CRC
-                // failures): deliver it as a piece that fails at issue
-                // time instead of re-reading known-bad data. Quarantined
-                // pieces sort first so the failure fires before real reads
-                // land, and the check stays ahead of zone-map pruning so
-                // known-bad chunks fail identically with and without
-                // pushdown.
-                pieces.insert(0, SlabPiece::Quarantined(i));
+            // Every extent exists: a missing one made the slab doomed above.
+            let Some(ext) = extents.get(i) else {
                 continue;
-            }
+            };
             if let Some(pd) = &mut pushdown {
                 // Prune before the cache lookup and before any PFS read:
                 // a chunk whose zone map proves the predicate false for
@@ -312,20 +330,7 @@ impl SplitFetcher for SciSlabFetcher {
         if cluster_hits > 0 {
             open_charges.push(("cache_read", sim.cost.cache_hit(cluster_hit_raw as usize)));
         }
-        Box::new(SlabPieceStream {
-            pfs_path: Rc::new(self.pfs_path.clone()),
-            var: self.var.clone(),
-            start: self.start.clone(),
-            count: self.count.clone(),
-            cache: self.cache.clone(),
-            file_key,
-            cluster_admit: self.cluster_admit,
-            open_counters,
-            open_charges,
-            pushdown,
-            pieces,
-            collected,
-        })
+        stream(pieces, pushdown, open_counters, open_charges)
     }
 
     fn cache_hints(&self) -> Vec<simnet::ChunkKey> {
@@ -354,8 +359,9 @@ impl SplitFetcher for SciSlabFetcher {
 /// One piece of a streaming slab fetch.
 #[derive(Clone, Copy)]
 enum SlabPiece {
-    /// Chunk quarantined by a prior fetch — fails the attempt at issue
-    /// time with zero PFS traffic of its own.
+    /// Chunk quarantined by a prior fetch (or without an extent) — the
+    /// doomed slab's only piece; fails the attempt at issue time with zero
+    /// PFS traffic.
     Quarantined(usize),
     /// A cache-miss chunk: `(idx, offset, clen, rlen, crc)` read through
     /// the verify/repair machine, decoded and cached on arrival.

@@ -206,6 +206,18 @@ impl Array {
         }
     }
 
+    /// All elements widened to `f64`, row-major, in one typed pass (the
+    /// bulk form of [`Array::get_f64`]).
+    pub fn to_f64_vec(&self) -> Vec<f64> {
+        match &self.data {
+            ArrayData::F32(v) => v.iter().map(|&x| x as f64).collect(),
+            ArrayData::F64(v) => v.clone(),
+            ArrayData::I32(v) => v.iter().map(|&x| x as f64).collect(),
+            ArrayData::I64(v) => v.iter().map(|&x| x as f64).collect(),
+            ArrayData::U8(v) => v.iter().map(|&x| x as f64).collect(),
+        }
+    }
+
     /// Iterate all elements widened to f64, row-major.
     pub fn iter_f64(&self) -> impl Iterator<Item = f64> + '_ {
         (0..self.len()).map(move |i| self.get_f64(i))

@@ -272,14 +272,22 @@ fn lz_decode_into(src: &[u8], raw_len: usize, out: &mut Vec<u8>) -> Result<()> {
             )));
         }
         let mlen = MIN_MATCH + get_len(&mut r, token & 0x0f)?;
-        // Overlapping copy must be byte-by-byte (RLE-style matches).
-        let start = out.len() - dist;
-        for k in 0..mlen {
-            let b = out[start + k];
-            out.push(b);
-        }
-        if out.len() > raw_len {
+        if out.len() + mlen > raw_len {
             return Err(FmtError::Corrupt("decoded past declared length".into()));
+        }
+        // Bulk match copy. A match that overlaps its own output
+        // (`dist < mlen`, RLE-style) repeats the `dist`-byte period at
+        // `start`: after each copy the periodic prefix has doubled and
+        // still starts on a period boundary, so the next copy may take
+        // twice as much from `start`. A non-overlapping match is one copy.
+        let start = out.len() - dist;
+        let mut left = mlen;
+        let mut run = dist;
+        while left > 0 {
+            let n = run.min(left);
+            out.extend_from_within(start..start + n);
+            left -= n;
+            run *= 2;
         }
     }
     if out.len() != raw_len {
@@ -510,6 +518,126 @@ mod tests {
         let f = compress(Codec::Lz, &data);
         assert!(f.len() < 600);
         assert_eq!(decompress(&f).unwrap(), data);
+    }
+
+    /// Bytewise reference for an LZ match: copy `mlen` bytes one at a
+    /// time from `dist` back, so overlapping matches repeat their period.
+    fn model_match(out: &mut Vec<u8>, dist: usize, mlen: usize) {
+        let start = out.len() - dist;
+        for k in 0..mlen {
+            let b = out[start + k];
+            out.push(b);
+        }
+    }
+
+    /// Hand-assemble one LZ token: a literal run, then an optional
+    /// `(dist, mlen)` match.
+    fn put_token(payload: &mut Vec<u8>, lits: &[u8], matched: Option<(u16, usize)>) {
+        let lit_nib = lits.len().min(15) as u8;
+        let mat_nib = matched.map_or(0, |(_, m)| (m - MIN_MATCH).min(15) as u8);
+        payload.push((lit_nib << 4) | mat_nib);
+        if lit_nib == 15 {
+            put_len(payload, lits.len() - 15);
+        }
+        payload.extend_from_slice(lits);
+        if let Some((dist, mlen)) = matched {
+            payload.extend_from_slice(&dist.to_le_bytes());
+            if mat_nib == 15 {
+                put_len(payload, mlen - MIN_MATCH - 15);
+            }
+        }
+    }
+
+    /// An LZ frame declaring `raw_len` around a hand-built payload.
+    fn lz_frame(raw_len: usize, payload: &[u8]) -> Vec<u8> {
+        let mut f = vec![Codec::Lz.id()];
+        put_varint(&mut f, raw_len as u64);
+        f.extend_from_slice(payload);
+        f
+    }
+
+    #[test]
+    fn match_copy_matches_bytewise_model_for_every_distance() {
+        let mut rng = Rng::seed_from_u64(31);
+        let lens = [
+            4, 5, 7, 8, 9, 15, 18, 19, 20, 31, 63, 64, 65, 127, 128, 129, 255, 256, 257, 1000,
+            4096, 6151,
+        ];
+        let tail = [0xab, 0xcd, 0xef];
+        for dist in 1..=64usize {
+            // History of exactly `dist` bytes (the match starts at output
+            // 0) and of 64 bytes (it starts mid-output).
+            for hist in [dist, 64] {
+                let mut prefix = vec![0u8; hist];
+                rng.fill_bytes(&mut prefix);
+                for &mlen in &lens {
+                    for trailing in [true, false] {
+                        let mut want = prefix.clone();
+                        model_match(&mut want, dist, mlen);
+                        let mut payload = Vec::new();
+                        put_token(&mut payload, &prefix, Some((dist as u16, mlen)));
+                        if trailing {
+                            want.extend_from_slice(&tail);
+                            put_token(&mut payload, &tail, None);
+                        }
+                        let got = decompress(&lz_frame(want.len(), &payload)).unwrap();
+                        assert_eq!(got, want, "dist {dist} hist {hist} len {mlen}");
+                    }
+                }
+            }
+            // The encoder's own frames of a `dist`-periodic input.
+            let mut period = vec![0u8; dist];
+            rng.fill_bytes(&mut period);
+            let data: Vec<u8> = period.iter().copied().cycle().take(dist * 97 + 5).collect();
+            assert_eq!(decompress(&compress(Codec::Lz, &data)).unwrap(), data);
+        }
+    }
+
+    #[test]
+    fn literal_only_and_empty_frames_decode() {
+        let mut rng = Rng::seed_from_u64(32);
+        for n in [0usize, 1, 14, 15, 16, 269, 270, 271, 5000] {
+            let mut lits = vec![0u8; n];
+            rng.fill_bytes(&mut lits);
+            let mut payload = Vec::new();
+            put_token(&mut payload, &lits, None);
+            assert_eq!(decompress(&lz_frame(n, &payload)).unwrap(), lits, "{n}");
+        }
+        // No token at all is the empty frame too.
+        assert_eq!(decompress(&lz_frame(0, &[])).unwrap(), Vec::<u8>::new());
+    }
+
+    #[test]
+    fn corrupt_matches_are_rejected() {
+        let prefix = [1u8, 2, 3, 4, 5, 6, 7, 8];
+        let frame = |raw_len: usize, dist: u16, mlen: usize| {
+            let mut payload = Vec::new();
+            put_token(&mut payload, &prefix, Some((dist, mlen)));
+            lz_frame(raw_len, &payload)
+        };
+        let bad = |f: &[u8], what: &str| {
+            let e = decompress(f).unwrap_err();
+            assert!(matches!(e, FmtError::Corrupt(_)), "{what}: {e:?}");
+        };
+        // The well-formed control decodes.
+        assert_eq!(decompress(&frame(8 + 20, 3, 20)).unwrap().len(), 28);
+        bad(&frame(8 + 20, 0, 20), "zero distance");
+        bad(&frame(8 + 20, 9, 20), "distance past the output");
+        bad(&frame(8 + 20, u16::MAX, 20), "distance past the window");
+        bad(&frame(8 + 19, 3, 20), "match past the declared length");
+        bad(
+            &frame(8 + 4, 1, 1 << 20),
+            "long match past the declared length",
+        );
+        bad(&frame(8 + 21, 3, 20), "output short of the declared length");
+        // Literals past the declared length, with and without a match after.
+        let mut payload = Vec::new();
+        put_token(&mut payload, &prefix, None);
+        bad(&lz_frame(7, &payload), "literals past the declared length");
+        bad(
+            &frame(7, 3, 4),
+            "literals then match past the declared length",
+        );
     }
 
     #[test]

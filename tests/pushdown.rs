@@ -264,3 +264,59 @@ fn boundary_allnull_and_single_element_chunks() {
     // single element (42) survives: exactly one chunk skipped.
     assert_eq!(r.counters.get(keys::CHUNKS_SKIPPED_ZONEMAP), 1.0);
 }
+
+/// The four query shapes of the benchmark's `sql_pushdown` workload: two
+/// value thresholds, a level window plus threshold, and a WHERE-less
+/// aggregate.
+const SCAN_QUERIES: [&str; 4] = [
+    "SELECT lev, lat, lon, value FROM df WHERE value >= 3.0",
+    "SELECT lev, lat, lon, value FROM df WHERE value >= 2.5",
+    "SELECT lev, lat, lon, value FROM df WHERE lev >= 40 AND value >= 2.125",
+    "SELECT COUNT(*) AS n, SUM(value) AS s, MIN(value) AS lo, MAX(value) AS hi FROM df",
+];
+
+/// Committed output of the four scan queries on a small grid, pinned by
+/// digest (with and without pushdown, which must agree): the scan's byte
+/// path (CRC, LZ decode, frame assembly, `sqldf`, CSV serialisation) may
+/// get faster but must keep every committed byte.
+#[test]
+fn scan_queries_commit_pinned_bytes() {
+    let spec = WrfSpec {
+        n_vars: 1,
+        seed: 7,
+        ..WrfSpec::scaled(16, 16, 2)
+    };
+    for pushdown in [false, true] {
+        let mut c = paper_cluster(4, &spec);
+        let ds = stage_nuwrf(&mut c, &spec, "nuwrf");
+        let digests: Vec<u64> = SCAN_QUERIES
+            .iter()
+            .enumerate()
+            .map(|(i, sql)| {
+                let cfg = SqlScanConfig {
+                    pushdown,
+                    output_dir: format!("sql_q{i}"),
+                    ..SqlScanConfig::new(["QR"], sql)
+                };
+                run_sql_scan(&mut c, &ds.pfs_uri(), &cfg).unwrap();
+                let mut bytes = Vec::new();
+                for (path, data) in c.read_hdfs_dir(&cfg.output_dir).unwrap() {
+                    bytes.extend_from_slice(path.as_bytes());
+                    bytes.push(0);
+                    bytes.extend_from_slice(&data);
+                }
+                scirng::hash64(&bytes)
+            })
+            .collect();
+        assert_eq!(
+            digests,
+            [
+                0x4f87_eeef_ebcf_f3eb,
+                0x2cfc_77a2_0ff7_389f,
+                0xbc14_cee2_bc11_3033,
+                0x122a_a564_239e_1e29,
+            ],
+            "pushdown {pushdown}: committed scan output changed"
+        );
+    }
+}

@@ -506,7 +506,8 @@ mod pushdown {
     fn quarantined_chunk_fails_the_scan_even_when_pruned() {
         // Chunk 0 is known bad; the predicate would prune it, but the
         // quarantine check runs first, so the attempt still fails with the
-        // typed integrity error — exactly as without pushdown.
+        // typed integrity error — exactly as without pushdown. The doomed
+        // attempt streams only its failing piece: no chunk read is issued.
         for pushdown in [false, true] {
             let mut c = snc_cluster();
             let (var, off) = stage_var(&mut c);
@@ -519,6 +520,10 @@ mod pushdown {
                 err.message().contains("IntegrityError") && err.message().contains("quarantined"),
                 "pushdown {pushdown}: typed integrity failure expected, got: {}",
                 err.message()
+            );
+            assert_eq!(
+                c.sim.net.bytes_admitted, 0.0,
+                "pushdown {pushdown}: a doomed slab must not move chunk bytes"
             );
         }
     }
